@@ -1,4 +1,5 @@
-//! Emits a machine-readable wire-cost summary (`BENCH_wire.json` on CI):
+//! Emits a machine-readable wire-cost summary (`results/BENCH_wire.json`
+//! when run by `run_experiments.sh`):
 //! the §VI-D communication-overhead analysis done with the real codecs
 //! and the real transport.
 //!

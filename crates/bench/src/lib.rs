@@ -1,13 +1,8 @@
-//! Shared fixtures for the Criterion benchmarks.
-//!
-//! The benches measure the per-round cost of each BaFFLe building block
-//! at the scales used by the experiment harness, so regressions in the
-//! substrates show up before they distort experiment runtimes.
-
-use baffle_data::{Dataset, SyntheticVision, VisionSpec};
-use baffle_nn::{Mlp, MlpSpec, Sgd};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+//! The two measurements that are not the benchmark's (`/benchmark`
+//! measures performance end to end and per module): the
+//! allocation-regression gate (`tests/alloc_regression.rs`, on the
+//! counting allocator below) and the §VI-D wire-cost experiment
+//! (`wire_report`, part of `run_experiments.sh`).
 
 /// Heap-traffic metering for the training hot path.
 ///
@@ -15,7 +10,7 @@ use rand::SeedableRng;
 /// the **process-wide** allocator: every allocation made by any thread
 /// pays two relaxed atomic increments. That is noise-level for the
 /// steady-state-zero assertion this exists to support, but it is not
-/// something the default benchmark build should carry.
+/// something the default build should carry.
 #[cfg(feature = "alloc-probe")]
 pub mod alloc_probe {
     use std::alloc::{GlobalAlloc, Layout, System};
@@ -85,67 +80,5 @@ pub mod alloc_probe {
             out,
             AllocStats { allocs: after.allocs - before.allocs, bytes: after.bytes - before.bytes },
         )
-    }
-}
-
-/// A deterministic problem + model fixture shared by the benches.
-pub struct Fixture {
-    /// The synthetic problem instance.
-    pub generator: SyntheticVision,
-    /// A labelled dataset drawn from it.
-    pub data: Dataset,
-    /// A model trained for a few epochs on `data`.
-    pub model: Mlp,
-    /// A short trajectory of model snapshots (for history-based benches).
-    pub history: Vec<Mlp>,
-}
-
-/// Builds the standard CIFAR-like bench fixture: 32-d inputs, 10 classes,
-/// `samples` data points and a history of `history_len` model snapshots.
-pub fn cifar_fixture(samples: usize, history_len: usize, seed: u64) -> Fixture {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let spec = VisionSpec::cifar_like();
-    let generator = SyntheticVision::new(&spec, &mut rng);
-    let data = generator.generate(&mut rng, samples);
-    let mut model = Mlp::new(&MlpSpec::new(spec.input_dim(), &[64], spec.num_classes()), &mut rng);
-    let mut opt = Sgd::new(0.1).with_momentum(0.9);
-    let mut history = Vec::with_capacity(history_len);
-    for _ in 0..history_len {
-        model.train_epoch(data.features(), data.labels(), 32, &mut opt, &mut rng);
-        history.push(model.clone());
-    }
-    Fixture { generator, data, model, history }
-}
-
-/// Deterministic pseudo-random parameter vector of the given length.
-pub fn params(len: usize, seed: u64) -> Vec<f32> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    baffle_tensor::rng::normal_vec(&mut rng, len, 0.0, 0.3)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use baffle_nn::Model;
-
-    #[test]
-    fn fixture_is_deterministic() {
-        let a = cifar_fixture(100, 3, 9);
-        let b = cifar_fixture(100, 3, 9);
-        assert_eq!(a.model.params(), b.model.params());
-        assert_eq!(a.data, b.data);
-    }
-
-    #[test]
-    fn fixture_history_has_requested_length() {
-        let f = cifar_fixture(50, 5, 1);
-        assert_eq!(f.history.len(), 5);
-        assert_eq!(f.data.len(), 50);
-    }
-
-    #[test]
-    fn params_are_reproducible() {
-        assert_eq!(params(16, 3), params(16, 3));
-        assert_eq!(params(16, 3).len(), 16);
     }
 }

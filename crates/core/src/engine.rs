@@ -1,5 +1,5 @@
-//! Incremental validation engine: confusion-matrix caching + scoped-thread
-//! fan-out for Algorithm 2.
+//! Incremental validation engine: confusion-matrix caching + fused
+//! multi-model evaluation for Algorithm 2.
 //!
 //! `Validator::validate` recomputes one confusion matrix per history model
 //! on **every** call — O(ℓ·|D|) forward passes per validator per round —
@@ -25,16 +25,16 @@
 //!    path runs — so cached and uncached validation are bit-identical
 //!    (property-tested in `tests/engine_coherence.rs`).
 //!
-//! On a cold cache (first round, or after a client re-syncs a long
-//! history delta) the missing matrices are computed on the shared worker
-//! pool; results are keyed by id, so scheduling order cannot affect the
-//! verdict. The batched entry points
-//! ([`ValidationEngine::validate_batched`]) fuse that cold fan-out
-//! further: the candidate and every missing model are stacked into one
-//! [`ConfusionMatrix::from_models`] pass, turning ℓ + 2 per-model
-//! forward sweeps into a single wide GEMM pass per layer
-//! ([`baffle_nn::Model::predict_multi`]) — bit-identical to the
-//! sequential path on the default kernels.
+//! The engine has one validation path,
+//! [`ValidationEngine::validate_batched`]: the candidate and every
+//! window model missing from the cache (all of them on a cold cache —
+//! first round, or after a client re-syncs a long history delta) are
+//! stacked into one [`ConfusionMatrix::from_models`] pass, turning
+//! ℓ + 2 per-model forward sweeps into a single wide GEMM pass per layer
+//! ([`baffle_nn::Model::predict_multi`]). Its oracle is the uncached
+//! [`Validator::validate_detailed`], which evaluates every model
+//! separately; results are keyed by id, so evaluation order cannot
+//! affect the verdict.
 
 use crate::validate::{Diagnostics, ValidateError, Validator, Verdict, MIN_HISTORY};
 use baffle_data::Dataset;
@@ -42,19 +42,10 @@ use baffle_fl::history_sync::ModelId;
 use baffle_nn::{ConfusionMatrix, Model};
 use std::collections::HashMap;
 
-/// Fan the cold-cache confusion computation out to the worker pool only
-/// when at least this many matrices are missing; below that, task
-/// hand-off costs more than the forward passes it saves. Two is the
-/// break-even point now that [`ConfusionMatrix::from_model`] evaluates
-/// chunks through borrowed row views instead of copying them: a task is
-/// one allocation-free forward pass, so it pays off as soon as a second
-/// matrix can overlap it.
-const CONFUSION_PARALLEL_THRESHOLD: usize = 2;
-
 /// Confusion matrices of already-evaluated history models, keyed by
 /// [`ModelId`]. Bounded by the validator's window: every
-/// [`ValidationEngine::validate`] call evicts entries outside the ids it
-/// was handed.
+/// [`ValidationEngine::validate_batched`] call evicts entries outside
+/// the ids it was handed.
 #[derive(Debug, Clone, Default)]
 pub struct ConfusionCache {
     entries: HashMap<ModelId, ConfusionMatrix>,
@@ -174,74 +165,7 @@ impl ValidationEngine {
 
     /// Cached equivalent of [`Validator::validate`]: validates `current`
     /// against `history` (oldest first), where `ids[i]` is the stable id
-    /// of `history[i]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ids.len() != history.len()`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Validator::validate`].
-    pub fn validate<M: Model + Sync>(
-        &mut self,
-        current: &M,
-        ids: &[ModelId],
-        history: &[M],
-        data: &Dataset,
-    ) -> Result<Verdict, ValidateError> {
-        self.validate_detailed(current, ids, history, data).map(|d| d.verdict)
-    }
-
-    /// Cached equivalent of [`Validator::validate_detailed`]. Computes
-    /// confusion matrices only for window models missing from the cache
-    /// (on the shared worker pool when several are missing), evicts entries that
-    /// left the window, and runs the shared decision path
-    /// [`Validator::validate_confusions`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ids.len() != history.len()`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Validator::validate`].
-    pub fn validate_detailed<M: Model + Sync>(
-        &mut self,
-        current: &M,
-        ids: &[ModelId],
-        history: &[M],
-        data: &Dataset,
-    ) -> Result<Diagnostics, ValidateError> {
-        let (ids, window, missing) = self.prepare(ids, history, data)?;
-
-        if !missing.is_empty() {
-            let computed: Vec<ConfusionMatrix> = if missing.len() >= CONFUSION_PARALLEL_THRESHOLD {
-                baffle_tensor::pool::parallel_map(missing.clone(), |_, i| {
-                    ConfusionMatrix::from_model(&window[i], data.features(), data.labels())
-                })
-            } else {
-                missing
-                    .iter()
-                    .map(|&i| {
-                        ConfusionMatrix::from_model(&window[i], data.features(), data.labels())
-                    })
-                    .collect()
-            };
-            for (&i, cm) in missing.iter().zip(computed) {
-                self.cache.insert(ids[i], cm);
-            }
-        }
-        // The candidate is never cached: it has no id until (and unless)
-        // the quorum accepts it, and caching speculative models would let
-        // a rejected candidate poison a future lookup.
-        let current_cm = ConfusionMatrix::from_model(current, data.features(), data.labels());
-        self.decide(ids, current_cm, data.len())
-    }
-
-    /// Cached equivalent of [`Validator::validate`] whose cold-cache work
-    /// runs as *batched* multi-model evaluation: see
-    /// [`ValidationEngine::validate_batched_detailed`].
+    /// of `history[i]`. See [`ValidationEngine::validate_batched_detailed`].
     ///
     /// # Panics
     ///
@@ -260,20 +184,20 @@ impl ValidationEngine {
         self.validate_batched_detailed(current, ids, history, data).map(|d| d.verdict)
     }
 
-    /// Like [`ValidationEngine::validate_detailed`], but the candidate
-    /// and every window model missing from the cache are stacked into a
-    /// single [`ConfusionMatrix::from_models`] pass, so a cold cache
-    /// costs one fused multi-model GEMM sweep per layer over the
-    /// validation set instead of ℓ + 2 sequential forward fan-outs (see
-    /// [`baffle_nn::Model::predict_multi`]). A warm cache evaluates a
-    /// two-model batch (the candidate plus the newest accepted model) —
-    /// its cost is independent of ℓ.
+    /// Cached equivalent of [`Validator::validate_detailed`]. The
+    /// candidate and every window model missing from the cache are
+    /// stacked into a single [`ConfusionMatrix::from_models`] pass, so a
+    /// cold cache costs one fused multi-model GEMM sweep per layer over
+    /// the validation set instead of ℓ + 2 sequential forward passes
+    /// (see [`baffle_nn::Model::predict_multi`]). A warm cache evaluates
+    /// a two-model batch (the candidate plus the newest accepted model)
+    /// — its cost is independent of ℓ. Entries that left the window are
+    /// evicted, and the decision runs through the shared
+    /// [`Validator::validate_confusions`].
     ///
-    /// On the default bit-exact kernels the verdict, diagnostics, cache
-    /// contents and hit/miss counters are all bit-identical to
-    /// [`ValidationEngine::validate_detailed`] (property-tested in
-    /// `tests/engine_coherence.rs`); under the opt-in `BAFFLE_FAST_MATH`
-    /// tier the two paths agree within the documented error bound.
+    /// The diagnostics are bit-identical to the uncached
+    /// [`Validator::validate_detailed`] (property-tested in
+    /// `tests/engine_coherence.rs`).
     ///
     /// # Panics
     ///
@@ -293,7 +217,9 @@ impl ValidationEngine {
 
         // One fused pass over the shard evaluates every missing history
         // model and the candidate together. The candidate rides in the
-        // batch but is still never cached (see `validate_detailed`).
+        // batch but is never cached: it has no id until (and unless) the
+        // quorum accepts it, and caching speculative models would let a
+        // rejected candidate poison a future lookup.
         let mut batch: Vec<&M> = missing.iter().map(|&i| &window[i]).collect();
         batch.push(current);
         let mut cms = ConfusionMatrix::from_models(&batch, data.features(), data.labels());
@@ -304,8 +230,8 @@ impl ValidationEngine {
         self.decide(ids, current_cm, data.len())
     }
 
-    /// Shared prologue of the cached validation paths: argument checks,
-    /// window selection, miss detection and counter updates.
+    /// Prologue: argument checks, window selection, miss detection and
+    /// counter updates.
     fn prepare<'a, M: Model>(
         &mut self,
         ids: &'a [ModelId],
@@ -334,7 +260,7 @@ impl ValidationEngine {
         Ok((ids, window, missing))
     }
 
-    /// Shared epilogue: evicts entries that left the window and runs the
+    /// Epilogue: evicts entries that left the window and runs the
     /// decision half of Algorithm 2 over the cached window matrices.
     fn decide(
         &mut self,
@@ -409,13 +335,13 @@ mod tests {
         let mut engine = ValidationEngine::new(validator);
 
         let plain = validator.validate_detailed(&current, &history, &data);
-        let cold = engine.validate_detailed(&current, &ids, &history, &data);
+        let cold = engine.validate_batched_detailed(&current, &ids, &history, &data);
         assert_eq!(cold, plain);
         // Window is ℓ + 1 = 11 models, all cold.
         assert_eq!((engine.hits(), engine.misses()), (0, 11));
         assert_eq!(engine.cache_len(), 11);
 
-        let warm = engine.validate_detailed(&current, &ids, &history, &data);
+        let warm = engine.validate_batched_detailed(&current, &ids, &history, &data);
         assert_eq!(warm, plain);
         assert_eq!((engine.hits(), engine.misses()), (11, 11));
     }
@@ -428,7 +354,7 @@ mod tests {
         let current = model_with_errors(&data, &[3, 4]);
         let mut engine = ValidationEngine::new(Validator::new(ValidationConfig::new(10)));
 
-        engine.validate_detailed(&current, &ids, &history, &data).unwrap();
+        engine.validate_batched_detailed(&current, &ids, &history, &data).unwrap();
         assert_eq!(engine.misses(), 11);
 
         // One acceptance: window slides by one model.
@@ -436,7 +362,7 @@ mod tests {
         ids.remove(0);
         history.push(model_with_errors(&data, &[11, 12]));
         ids.push(11);
-        engine.validate_detailed(&current, &ids, &history, &data).unwrap();
+        engine.validate_batched_detailed(&current, &ids, &history, &data).unwrap();
         assert_eq!(engine.misses(), 12, "only the new model should be computed");
         assert_eq!(engine.hits(), 10);
         assert_eq!(engine.cache_len(), 11, "evicted entry must leave the cache");
@@ -450,56 +376,16 @@ mod tests {
         let current = model_with_errors(&data, &[5]);
         let mut engine = ValidationEngine::new(Validator::new(ValidationConfig::new(6)));
 
-        engine.validate_detailed(&current, &ids, &history, &data).unwrap();
+        engine.validate_batched_detailed(&current, &ids, &history, &data).unwrap();
         let misses = engine.misses();
         assert!(engine.invalidate(4));
         assert!(!engine.invalidate(4), "second invalidate finds nothing");
-        engine.validate_detailed(&current, &ids, &history, &data).unwrap();
+        engine.validate_batched_detailed(&current, &ids, &history, &data).unwrap();
         assert_eq!(engine.misses(), misses + 1);
     }
 
     #[test]
-    fn errors_match_the_plain_validator() {
-        let data = dataset(10, 2);
-        let history = stable_history(&data, 3);
-        let ids: Vec<ModelId> = (0..3).collect();
-        let current = history[0].clone();
-        let mut engine = ValidationEngine::new(Validator::new(ValidationConfig::new(10)));
-        let err = engine.validate(&current, &ids, &history, &data).unwrap_err();
-        assert!(matches!(err, ValidateError::NotEnoughHistory { got: 3, need: 4 }));
-
-        let history = stable_history(&data, 6);
-        let ids: Vec<ModelId> = (0..6).collect();
-        let empty = Dataset::empty(1, 2);
-        let err = engine.validate(&history[0], &ids, &history, &empty).unwrap_err();
-        assert_eq!(err, ValidateError::EmptyDataset);
-        assert_eq!(engine.cache_len(), 0, "errors must not populate the cache");
-    }
-
-    #[test]
-    fn batched_matches_sequential_cold_and_warm() {
-        let data = dataset(40, 4);
-        let history = stable_history(&data, 12);
-        let ids: Vec<ModelId> = (0..12).collect();
-        let current = model_with_errors(&data, &[12, 13]);
-        let validator = Validator::new(ValidationConfig::new(10));
-        let mut seq = ValidationEngine::new(validator);
-        let mut bat = ValidationEngine::new(validator);
-
-        let cold_s = seq.validate_detailed(&current, &ids, &history, &data);
-        let cold_b = bat.validate_batched_detailed(&current, &ids, &history, &data);
-        assert_eq!(cold_b, cold_s);
-        assert_eq!((bat.hits(), bat.misses()), (seq.hits(), seq.misses()));
-        assert_eq!(bat.cache_len(), seq.cache_len());
-
-        let warm_s = seq.validate_detailed(&current, &ids, &history, &data);
-        let warm_b = bat.validate_batched_detailed(&current, &ids, &history, &data);
-        assert_eq!(warm_b, warm_s);
-        assert_eq!((bat.hits(), bat.misses()), (seq.hits(), seq.misses()));
-    }
-
-    #[test]
-    fn batched_errors_match_and_skip_the_cache() {
+    fn errors_match_the_plain_validator_and_skip_the_cache() {
         let data = dataset(10, 2);
         let history = stable_history(&data, 3);
         let ids: Vec<ModelId> = (0..3).collect();
@@ -522,6 +408,6 @@ mod tests {
         let history = stable_history(&data, 6);
         let ids: Vec<ModelId> = (0..5).collect();
         let mut engine = ValidationEngine::new(Validator::new(ValidationConfig::new(4)));
-        let _ = engine.validate(&history[0], &ids, &history, &data);
+        let _ = engine.validate_batched(&history[0], &ids, &history, &data);
     }
 }

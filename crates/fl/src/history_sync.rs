@@ -342,7 +342,7 @@ mod tests {
         sync.push_accepted();
         sync.mark_synced(4);
         sync.mark_shipped(6); // unacked: must NOT survive the round trip
-        let restored = HistorySync::restore(sync.window(), sync.accepted(), sync.committed());
+        let mut restored = HistorySync::restore(sync.window(), sync.accepted(), sync.committed());
         for c in [0, 4, 6, 9] {
             assert_eq!(
                 restored.models_to_send(c),

@@ -39,7 +39,7 @@ pub mod secagg;
 mod trainer;
 mod wire_profile;
 
-pub use aggregate::{fedavg, fedavg_serial};
+pub use aggregate::fedavg;
 pub use config::FlConfig;
 pub use trainer::{train_clients_parallel, LocalTrainer};
 pub use wire_profile::{HistoryCodec, WireProfile};

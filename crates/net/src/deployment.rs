@@ -192,7 +192,7 @@ pub struct FailoverReport {
     pub pre_crash_checkpoint: Bytes,
     /// The promoted standby's checkpoint at takeover. Byte-equality
     /// with [`FailoverReport::pre_crash_checkpoint`] is the recovery
-    /// correctness criterion.
+    /// correctness condition.
     pub promoted_checkpoint: Bytes,
     /// Wall-clock from the primary's crash to the first accepted round
     /// under the promoted standby. `None` if no later round accepted.

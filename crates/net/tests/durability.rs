@@ -358,7 +358,7 @@ fn torn_round_is_re_asked_and_duplicate_safe() {
     for r in &rounds {
         assert!(r.accepted, "round {}: all-honest rounds accept", r.round);
         assert_eq!(r.votes_received, NUM_CLIENTS, "round {}", r.round);
-        // The duplicate-safety criterion: straggling or repeated
+        // The duplicate-safety condition: straggling or repeated
         // submissions from the torn ask are never booked as rejections.
         assert_eq!(r.rejected_submissions, 0, "round {}", r.round);
         assert_eq!(r.rejected_votes, 0, "round {}", r.round);

@@ -366,7 +366,7 @@ fn drive(parts: DeploymentParts, interrupt_before: Option<u64>) -> Vec<ServerRou
     rounds
 }
 
-/// The tentpole's acceptance criterion: a deployment interrupted by a
+/// The tentpole's acceptance condition: a deployment interrupted by a
 /// server checkpoint/restore produces **bit-identical** `ServerRound`s
 /// to the uninterrupted run on the same seed (wall-clock aside).
 #[test]

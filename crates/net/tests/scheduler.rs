@@ -101,3 +101,27 @@ fn scheduler_executes_scripted_crash_and_restart() {
     assert_eq!(outcome.messages_dropped, 0);
     assert_eq!(outcome.messages_corrupted, 0);
 }
+
+/// The scheduler at the scale it exists for: 2 000 registered clients,
+/// 50 contributors and 25 validators sampled per round, thin shards.
+/// Every round completes on a live transport with every sampled client
+/// accounted for — it answered, or abstained (a shard of ~2 samples
+/// cannot always validate).
+#[test]
+fn two_thousand_registered_clients_complete_every_round() {
+    let config = DeploymentConfig::at_scale(77, 2_000);
+    let sampled = config.clients_per_round + config.validators_per_round;
+    let rounds = config.rounds as usize;
+    let outcome = Deployment::build(config).run();
+
+    assert_eq!(outcome.rounds.len(), rounds, "deployment must finish every round");
+    for r in &outcome.rounds {
+        assert!(!r.transport_lost, "round {}: transport lost", r.round);
+        let accounted = r.updates_received + r.votes_received + r.abstentions;
+        assert!(
+            accounted >= sampled,
+            "round {}: {accounted} of {sampled} sampled clients accounted for",
+            r.round
+        );
+    }
+}

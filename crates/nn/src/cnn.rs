@@ -385,8 +385,7 @@ impl Model for Cnn {
     ///
     /// Every fused block runs the same-shape kernel the sequential path
     /// would, so predictions are bit-identical to per-model
-    /// [`Model::predict_rows`] under *all* kernel tiers, including
-    /// `BAFFLE_FAST_MATH`.
+    /// [`Model::predict_rows`].
     ///
     /// # Panics
     ///
@@ -568,8 +567,7 @@ mod tests {
     fn predict_multi_matches_sequential_exactly() {
         // Every fused block (row-stacked stage 0, block-diagonal later
         // stages and heads) runs the same-shape kernel the sequential
-        // path would, so this holds bitwise on every tier, including
-        // BAFFLE_FAST_MATH.
+        // path would, so this holds bitwise.
         let spec = CnnSpec::new(10, &[4, 4], 3, 3).with_residual();
         let mut rng = StdRng::seed_from_u64(7);
         let models: Vec<Cnn> = (0..4).map(|_| Cnn::new(&spec, &mut rng)).collect();

@@ -243,9 +243,11 @@ impl Conv1d {
                     let k_hi = self.kernel.min(len + pad - p);
                     let mut acc = self.b[o];
                     for i in 0..self.in_channels {
-                        let base = i * len + p - pad;
+                        // `p + k ≥ pad` for every valid tap; `p − pad` alone
+                        // can be negative.
+                        let base = i * len + p;
                         for k in k_lo..k_hi {
-                            acc += self.weight(o, i, k) * row[base + k];
+                            acc += self.weight(o, i, k) * row[base + k - pad];
                         }
                     }
                     out_row[o * len + p] = acc;
@@ -332,8 +334,7 @@ impl Conv1d {
     ///
     /// Because every output row of the product depends only on its own
     /// weight row and the shared im2col buffer, each per-layer row block
-    /// is bit-identical to [`Conv1d::forward`] on the same input under
-    /// *all* kernel tiers, including `BAFFLE_FAST_MATH`.
+    /// is bit-identical to [`Conv1d::forward`] on the same input.
     ///
     /// # Panics
     ///
@@ -371,8 +372,7 @@ impl Conv1d {
     /// block-diagonal [`gemm::batched_nn`] call.
     ///
     /// Each block runs the same-shape kernel a standalone call would, so
-    /// every per-layer output is bit-identical to [`Conv1d::forward`]
-    /// under *all* kernel tiers, including `BAFFLE_FAST_MATH`.
+    /// every per-layer output is bit-identical to [`Conv1d::forward`].
     ///
     /// # Panics
     ///
@@ -566,10 +566,10 @@ impl Conv1d {
                     let k_lo = pad.saturating_sub(p);
                     let k_hi = kernel.min(len + pad - p);
                     for i in 0..ic {
-                        let base = i * len + p - pad;
+                        let base = i * len + p;
                         for k in k_lo..k_hi {
-                            grad_w[(o, i * kernel + k)] += d * x_row[base + k];
-                            dx_row[base + k] += d * w[(o, i * kernel + k)];
+                            grad_w[(o, i * kernel + k)] += d * x_row[base + k - pad];
+                            dx_row[base + k - pad] += d * w[(o, i * kernel + k)];
                         }
                     }
                 }
@@ -905,7 +905,7 @@ mod tests {
     fn forward_multi_shared_matches_forward_exactly() {
         // Row-stacked weights: every per-layer row block runs the same
         // per-row computation a standalone call would, so this holds
-        // bitwise on every kernel tier, including BAFFLE_FAST_MATH.
+        // bitwise.
         let mut rng = StdRng::seed_from_u64(9);
         let convs: Vec<Conv1d> =
             (0..3).map(|_| Conv1d::new(2, 3, 3, 6, Activation::Relu, &mut rng)).collect();

@@ -450,14 +450,7 @@ mod tests {
     }
 
     #[test]
-    fn from_models_matches_from_model_on_default_kernels() {
-        use baffle_tensor::gemm;
-        if gemm::fast_math_enabled() && gemm::simd_enabled() {
-            // Mlp::predict_multi is only bound-comparable to the
-            // sequential path under fast math; see the Cnn test for the
-            // tier-independent bitwise check.
-            return;
-        }
+    fn from_models_matches_from_model() {
         let mut rng = StdRng::seed_from_u64(5);
         let spec = MlpSpec::new(4, &[6], 3);
         let models: Vec<Mlp> = (0..5).map(|_| Mlp::new(&spec, &mut rng)).collect();

@@ -134,10 +134,8 @@ impl Dense {
     /// `in_dim × (nb·out_dim)` block and multiplied once via
     /// [`gemm::concat_nn`]; the wide product is then split back into
     /// per-layer outputs with each layer's own bias and activation
-    /// applied. On the default bit-exact kernels every per-layer output
-    /// is bit-identical to [`Dense::forward`] on the same input; under
-    /// `BAFFLE_FAST_MATH` outputs depend on the concatenated column
-    /// position and are only bound-comparable to the standalone pass.
+    /// applied. Every per-layer output is bit-identical to
+    /// [`Dense::forward`] on the same input.
     ///
     /// # Panics
     ///
@@ -203,9 +201,8 @@ impl Dense {
     /// Inputs and weights are stacked contiguously and multiplied with
     /// [`gemm::batched_nn`]; block `i` of the product is `xs[i] · W_i`.
     /// Every per-layer output is bit-identical to [`Dense::forward`] on
-    /// the same input under *all* kernel tiers, including
-    /// `BAFFLE_FAST_MATH`, because each block runs the same-shape kernel
-    /// a standalone call would.
+    /// the same input, because each block runs the same-shape kernel a
+    /// standalone call would.
     ///
     /// # Panics
     ///
@@ -581,8 +578,7 @@ mod tests {
     #[test]
     fn forward_multi_matches_standalone_forward_exactly() {
         // Block-diagonal products run the same-shape kernel a standalone
-        // call would, so this holds bitwise on every tier, including
-        // BAFFLE_FAST_MATH.
+        // call would, so this holds bitwise.
         let mut rng = StdRng::seed_from_u64(21);
         let layers: Vec<Dense> =
             (0..3).map(|_| Dense::new(5, 4, Activation::Tanh, &mut rng)).collect();
@@ -605,28 +601,8 @@ mod tests {
         let x = Matrix::from_fn(9, 6, |r, c| ((r * 6 + c) as f32 * 0.13).sin());
         let lrefs: Vec<&Dense> = layers.iter().collect();
         let outs = Dense::forward_multi_shared(&lrefs, x.view());
-        let fast = gemm::fast_math_enabled() && gemm::simd_enabled();
         for (i, out) in outs.iter().enumerate() {
-            let seq = layers[i].forward(&x);
-            if fast {
-                // Wide and narrow fast products chain differently; both
-                // sit within error_bound(k) of the exact result, so they
-                // are within twice that of each other (ReLU is
-                // 1-Lipschitz). Envelope per element: |b_j| + Σ|x||w|.
-                let eb = 2.0 * gemm::error_bound(6);
-                for r in 0..out.rows() {
-                    for j in 0..out.cols() {
-                        let env: f64 = (0..6)
-                            .map(|k| (x[(r, k)] * layers[i].w[(k, j)]).abs() as f64)
-                            .sum::<f64>()
-                            + layers[i].b[j].abs() as f64;
-                        let d = (out[(r, j)] - seq[(r, j)]).abs() as f64;
-                        assert!(d <= eb * env + f32::EPSILON as f64, "layer {i} ({r},{j}): {d}");
-                    }
-                }
-            } else {
-                assert_eq!(out, &seq, "layer {i}");
-            }
+            assert_eq!(out, &layers[i].forward(&x), "layer {i}");
         }
     }
 

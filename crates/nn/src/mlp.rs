@@ -344,10 +344,8 @@ impl Model for Mlp {
     /// Fused multi-model prediction: the first layer runs as one wide
     /// [`Dense::forward_multi_shared`] GEMM over the shared input rows
     /// and every later layer as one block-diagonal
-    /// [`Dense::forward_multi`] call. On the default bit-exact kernels
-    /// the predictions are bit-identical to per-model
-    /// [`Model::predict_rows`]; under `BAFFLE_FAST_MATH` the shared
-    /// first-layer GEMM is only bound-comparable to the sequential one.
+    /// [`Dense::forward_multi`] call. The predictions are bit-identical
+    /// to per-model [`Model::predict_rows`].
     ///
     /// # Panics
     ///
@@ -497,14 +495,7 @@ mod tests {
     }
 
     #[test]
-    fn predict_multi_matches_sequential_on_default_kernels() {
-        use baffle_tensor::gemm;
-        if gemm::fast_math_enabled() && gemm::simd_enabled() {
-            // The shared first-layer GEMM chains differently wide vs
-            // narrow under fast math; argmax can flip on near-ties, so
-            // the bitwise comparison only holds on the default tier.
-            return;
-        }
+    fn predict_multi_matches_sequential() {
         let mut rng = StdRng::seed_from_u64(9);
         let spec = MlpSpec::new(4, &[6, 5], 3);
         let models: Vec<Mlp> = (0..5).map(|_| Mlp::new(&spec, &mut rng)).collect();

@@ -111,22 +111,7 @@ proptest! {
 // mix and batch size. Exact zeros are seeded into the signals because
 // the padded im2col margins add `±0.0` products the naive loops never
 // form (see `conv.rs` module docs for why those are bitwise harmless).
-//
-// The naive loops are the DEFAULT-tier oracle only: under the opt-in
-// `BAFFLE_FAST_MATH=1` re-run the packed path routes to FMA-contracted
-// kernels and is no longer bitwise against them, so those properties
-// skip (the fast tier is pinned by the tensor-level error-bound
-// properties instead). Multi-model fusion properties at the bottom
-// compare dispatched-vs-dispatched and hold on every tier.
 // ---------------------------------------------------------------------------
-
-use baffle_tensor::gemm;
-
-/// Whether the dispatchers currently route to the fast kernels, voiding
-/// bitwise packed-vs-naive oracles (the CI `BAFFLE_FAST_MATH=1` re-run).
-fn fast_dispatch() -> bool {
-    gemm::fast_math_enabled() && gemm::simd_enabled()
-}
 
 /// Conv shape: channels 1–3, odd kernel 1/3/5/7 (also wider than the
 /// signal), short signals straddling the pad width, batch 1/7/64.
@@ -162,9 +147,6 @@ proptest! {
     /// Packed forward ≡ naive forward, bitwise, across activations.
     #[test]
     fn conv_forward_is_bit_identical_to_naive((ic, oc, k, len, batch, x, _g) in conv_problem()) {
-        if fast_dispatch() {
-            return Ok(());
-        }
         let mut rng = StdRng::seed_from_u64(k as u64 * 31 + len as u64);
         for act in [Activation::Identity, Activation::Relu, Activation::Tanh] {
             let conv = Conv1d::new(ic, oc, k, len, act, &mut rng);
@@ -181,9 +163,6 @@ proptest! {
     /// input delta, and both gradients (read back through apply_grads).
     #[test]
     fn conv_backward_is_bit_identical_to_naive((ic, oc, k, len, batch, x, g) in conv_problem()) {
-        if fast_dispatch() {
-            return Ok(());
-        }
         let mut rng = StdRng::seed_from_u64(k as u64 * 17 + batch as u64);
         let mut fast = Conv1d::new(ic, oc, k, len, Activation::Tanh, &mut rng);
         let mut slow = fast.clone();
@@ -209,16 +188,13 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Batched multi-model evaluation vs the sequential path. Dispatched
-// against dispatched, so the CNN property (vertical weight stacking +
-// block-diagonal heads) holds bitwise on EVERY tier; the MLP property
-// (horizontal concat, whose fast chains depend on column position)
-// holds bitwise on the default tier only and skips under fast dispatch
-// — there the engine-level error-bound test takes over.
+// Batched multi-model evaluation vs the sequential path, bitwise: the CNN
+// property covers vertical weight stacking + block-diagonal heads, the
+// MLP property the horizontal concat.
 // ---------------------------------------------------------------------------
 
 proptest! {
-    /// `Cnn::predict_multi` ≡ per-model sequential prediction, any tier.
+    /// `Cnn::predict_multi` ≡ per-model sequential prediction.
     #[test]
     fn cnn_predict_multi_matches_sequential(
         nb in 1usize..=4,
@@ -241,8 +217,7 @@ proptest! {
         }
     }
 
-    /// `Mlp::predict_multi` ≡ per-model sequential prediction on the
-    /// default (bit-exact) tier.
+    /// `Mlp::predict_multi` ≡ per-model sequential prediction.
     #[test]
     fn mlp_predict_multi_matches_sequential(
         nb in 1usize..=5,
@@ -250,9 +225,6 @@ proptest! {
         hidden in prop::collection::vec(1usize..7, 0..3),
         seed in 0u64..1000,
     ) {
-        if fast_dispatch() {
-            return Ok(());
-        }
         let spec = MlpSpec::new(4, &hidden, 3);
         let mut rng = StdRng::seed_from_u64(seed);
         let models: Vec<Mlp> = (0..nb).map(|_| Mlp::new(&spec, &mut rng)).collect();
@@ -266,7 +238,7 @@ proptest! {
     }
 
     /// Batched confusion matrices ≡ per-model `from_model`, entry for
-    /// entry. CNN models keep this tier-independent (see module note).
+    /// entry.
     #[test]
     fn from_models_matches_from_model(
         nb in 1usize..=3,
@@ -298,9 +270,7 @@ proptest! {
 // paths call the same dispatched kernels in the same order, and every
 // reused buffer is fully overwritten (or zero-filled) before it is
 // read, so the twins must agree BITWISE — losses and every parameter —
-// on every tier, including the `BAFFLE_THREADS=1`, `BAFFLE_NO_SIMD=1`
-// and `BAFFLE_FAST_MATH=1` CI re-runs (both twins dispatch identically
-// whatever the tier).
+// at any thread count (CI re-runs the suite under `BAFFLE_THREADS=1`).
 // ---------------------------------------------------------------------------
 
 proptest! {
@@ -389,9 +359,6 @@ fn cnn_workspace_training_is_bit_identical_to_reference() {
 /// final partial batch.
 #[test]
 fn cnn_training_is_bit_identical_with_and_without_im2col() {
-    if fast_dispatch() {
-        return;
-    }
     for residual in [false, true] {
         let mut spec = CnnSpec::new(12, &[4, 4], 3, 3);
         if residual {

@@ -6,20 +6,17 @@
 //! plus flat `[f32]` vector helpers ([`ops`]) used by the federated-learning
 //! layer to average, scale and mask model parameters.
 //!
-//! No external BLAS is used. Matrix products dispatch into the
-//! cache-blocked kernels of [`gemm`] — by default through the explicit
-//! 8-wide micro-kernels of [`simd`] (AVX2 selected at runtime where
-//! available; `BAFFLE_NO_SIMD=1` opts out) — and row-band large
-//! products across a process-wide worker pool ([`pool`], sized by the
-//! `BAFFLE_THREADS` environment variable), falling back to the serial
-//! kernels below a size threshold so small LOF/feedback math pays zero
-//! overhead. Every default path is bit-identical to the naive serial
-//! reference, so seeded experiments reproduce exactly at any thread
-//! count and on any instruction set. The one deliberate exception is
-//! the opt-in `BAFFLE_FAST_MATH` tier (see [`gemm::fast_math_enabled`]):
-//! FMA-contracted kernels with a relaxed accumulation order that stay
-//! deterministic and within a proven error bound of the exact result,
-//! but are not bit-compatible with it.
+//! No external BLAS is used. Matrix products dispatch into [`gemm`]:
+//! one serial kernel — the explicit 8-wide micro-kernel built on
+//! [`simd`] lanes (AVX2 selected at runtime where available) — which
+//! large products run row-banded across a process-wide worker pool
+//! ([`pool`], sized by the `BAFFLE_THREADS` environment variable), while
+//! products below a size threshold stay serial so small LOF/feedback
+//! math pays zero overhead. The choice depends on the problem size
+//! alone; nothing a user sets selects a kernel. Every path is
+//! bit-identical to the one oracle, the naive serial loops
+//! `gemm::naive_*`, so seeded experiments reproduce exactly at any
+//! thread count and on any instruction set.
 //!
 //! # Example
 //!

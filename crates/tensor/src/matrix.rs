@@ -205,8 +205,8 @@ impl Matrix {
 
     /// Matrix product `self * other`.
     ///
-    /// Dispatches into the cache-blocked kernels of [`crate::gemm`],
-    /// which row-band large products across the shared worker pool
+    /// Dispatches into the 8-wide kernel of [`crate::gemm`], which
+    /// row-bands large products across the shared worker pool
     /// ([`crate::pool`]); the result is bit-identical to the naive
     /// serial triple loop for every shape and thread count.
     ///
@@ -226,7 +226,7 @@ impl Matrix {
 
     /// Matrix product `self * otherᵀ` without materialising the
     /// transpose at the API level; large products pack `otherᵀ` once
-    /// internally to reach the blocked kernel (see [`crate::gemm::nt`]).
+    /// internally to reach the 8-wide kernel (see [`crate::gemm::nt`]).
     ///
     /// # Panics
     ///

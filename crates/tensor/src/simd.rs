@@ -9,8 +9,8 @@
 //! performs, per output element, exactly the scalar operation sequence of
 //! the naive reference and stays bit-identical to it. No fused
 //! multiply-add is emitted either: [`F32x8::mul_add_assign`] is a
-//! separate IEEE multiply then add, the same two roundings the scalar
-//! kernels perform.
+//! separate IEEE multiply then add, the same two roundings the naive
+//! oracle performs.
 
 /// Number of lanes in a [`F32x8`].
 pub const LANES: usize = 8;
@@ -57,30 +57,6 @@ impl F32x8 {
             self.0[l] += a.0[l] * b.0[l];
         }
     }
-
-    /// Per lane `self[l] = fma(a[l], b[l], self[l])` — one fused
-    /// multiply-add with a **single** rounding. This is the contracted
-    /// operation of the opt-in fast-math kernels
-    /// ([`crate::gemm::fast_nn`]); it is *not* bit-compatible with
-    /// [`F32x8::mul_add_assign`], which rounds twice. `f32::mul_add` is
-    /// correctly rounded on every platform (hardware FMA where the
-    /// instantiation site enables it, soft-float otherwise), so the fast
-    /// kernels stay deterministic across ISAs — only the bit-exact
-    /// contract of the default kernels is relinquished.
-    #[inline(always)]
-    pub fn fma_assign(&mut self, a: Self, b: Self) {
-        for l in 0..LANES {
-            self.0[l] = a.0[l].mul_add(b.0[l], self.0[l]);
-        }
-    }
-
-    /// Per lane `self[l] += a[l]`.
-    #[inline(always)]
-    pub fn add_assign(&mut self, a: Self) {
-        for l in 0..LANES {
-            self.0[l] += a.0[l];
-        }
-    }
 }
 
 #[cfg(test)]
@@ -106,34 +82,5 @@ mod tests {
         let mut out = [0.0f32; LANES];
         F32x8::splat(-3.25).store(&mut out);
         assert!(out.iter().all(|&v| v == -3.25));
-    }
-
-    #[test]
-    fn fma_fuses_with_a_single_rounding() {
-        // (1 + 2^-12)² − 1: the exact product 1 + 2^-11 + 2^-24 is not an
-        // f32 (ties-to-even drops the 2^-24 bit), so the two-rounding path
-        // yields 2^-11 while the fused path keeps the low bit.
-        let a = 1.0f32 + 2.0f32.powi(-12);
-        let mut two_step = F32x8::splat(-1.0);
-        two_step.mul_add_assign(F32x8::splat(a), F32x8::splat(a));
-        let mut fused = F32x8::splat(-1.0);
-        fused.fma_assign(F32x8::splat(a), F32x8::splat(a));
-        let mut x = [0.0f32; LANES];
-        let mut y = [0.0f32; LANES];
-        two_step.store(&mut x);
-        fused.store(&mut y);
-        for l in 0..LANES {
-            assert_eq!(x[l], 2.0f32.powi(-11), "lane {l}: two-rounding path");
-            assert_eq!(y[l], 2.0f32.powi(-11) + 2.0f32.powi(-24), "lane {l}: fused path");
-        }
-    }
-
-    #[test]
-    fn add_assign_adds_lanewise() {
-        let mut acc = F32x8::splat(1.5);
-        acc.add_assign(F32x8::splat(-0.5));
-        let mut out = [0.0f32; LANES];
-        acc.store(&mut out);
-        assert!(out.iter().all(|&v| v == 1.0));
     }
 }

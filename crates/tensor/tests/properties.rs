@@ -109,29 +109,17 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Blocked/parallel GEMM vs the retained naive reference: the dispatched
-// kernels must be BIT-identical (`to_bits` equality, not epsilon), at any
-// shape — including 1×N / N×1 and non-multiple-of-tile dims — and at any
-// thread count. Large banded shapes are covered by unit tests in
-// `baffle_tensor::gemm`; these randomized ones sweep the small-shape space.
-//
-// Under the opt-in fast-math tier (`BAFFLE_FAST_MATH=1` with SIMD on) the
-// dispatchers route to the FMA-contracted kernels instead, so the bitwise
-// oracle switches to the serial fast kernel for the same shape — banding is
-// over independent output rows, so the dispatched result must still match
-// it exactly. The fast kernels themselves are pinned to the exact reference
-// by the `error_bound` properties at the bottom, on every tier.
+// Dispatched GEMM vs the naive oracle: the dispatchers must be BIT-identical
+// (`to_bits` equality, not epsilon), at any shape — including 1×N / N×1 and
+// non-multiple-of-tile dims — and at any thread count. Every dim here stays
+// below the banding threshold, so these sweep the one serial kernel; large
+// banded shapes and the baseline-ISA kernel bodies are covered by unit tests
+// in `baffle_tensor::gemm`.
 // ---------------------------------------------------------------------------
 
 use baffle_tensor::gemm;
 
-/// Whether the dispatchers currently route to the fast kernels (the CI
-/// `BAFFLE_FAST_MATH=1` re-run flips this for the whole suite).
-fn fast_dispatch() -> bool {
-    gemm::fast_math_enabled() && gemm::simd_enabled()
-}
-
-/// Random dims straddling the 32-wide tile edges, 1×N/N×1 included.
+/// Random dims straddling the 8-lane edges, 1×N/N×1 included.
 fn gemm_dims() -> impl Strategy<Value = (usize, usize, usize)> {
     (1usize..=40, 1usize..=40, 1usize..=40)
 }
@@ -159,45 +147,30 @@ fn nt_problem() -> impl Strategy<Value = (usize, usize, usize, Vec<f32>, Vec<f32
 }
 
 proptest! {
-    /// `Matrix::matmul` (blocked, possibly banded) ≡ its serial oracle,
-    /// bitwise: naive on the default tier, the fast kernel under
-    /// `BAFFLE_FAST_MATH=1` (row banding cannot change fast results —
-    /// each output row's chains read only that row of A).
+    /// `Matrix::matmul` ≡ naive A·B, bitwise.
     #[test]
-    fn matmul_is_bit_identical_to_oracle((m, k, n, a, b) in nn_problem()) {
+    fn matmul_is_bit_identical_to_naive((m, k, n, a, b) in nn_problem()) {
         let got = Matrix::from_vec(m, k, a.clone()).matmul(&Matrix::from_vec(k, n, b.clone()));
         let mut want = vec![0.0f32; m * n];
-        if fast_dispatch() {
-            gemm::fast_nn(m, k, n, &a, &b, &mut want);
-        } else {
-            gemm::naive_nn(m, k, n, &a, &b, &mut want);
-        }
+        gemm::naive_nn(m, k, n, &a, &b, &mut want);
         for (x, y) in got.as_slice().iter().zip(&want) {
             prop_assert_eq!(x.to_bits(), y.to_bits());
         }
     }
 
-    /// `Matrix::matmul_tn` ≡ its serial oracle, bitwise (A is m×k, B is
-    /// m×n): naive Aᵀ·B by default, the fast `tn` kernel when fast math
-    /// dispatches.
+    /// `Matrix::matmul_tn` ≡ naive Aᵀ·B, bitwise (A is m×k, B is m×n;
+    /// strided A reads in the kernel).
     #[test]
-    fn matmul_tn_is_bit_identical_to_oracle((m, k, n, a, b) in tn_problem()) {
+    fn matmul_tn_is_bit_identical_to_naive((m, k, n, a, b) in tn_problem()) {
         let got = Matrix::from_vec(m, k, a.clone()).matmul_tn(&Matrix::from_vec(m, n, b.clone()));
         let mut want = vec![0.0f32; k * n];
-        if fast_dispatch() {
-            gemm::fast_tn(m, k, n, &a, &b, &mut want);
-        } else {
-            gemm::naive_tn(m, k, n, &a, &b, &mut want);
-        }
+        gemm::naive_tn(m, k, n, &a, &b, &mut want);
         for (x, y) in got.as_slice().iter().zip(&want) {
             prop_assert_eq!(x.to_bits(), y.to_bits());
         }
     }
 
     /// `Matrix::matmul_nt` ≡ naive A·Bᵀ, bitwise (A is m×k, B is n×k).
-    /// Holds on every tier at these dims: below the pack threshold the
-    /// dispatcher runs the exact dot-product loop even under fast math,
-    /// and all dims here (≤ 40³) sit below it.
     #[test]
     fn matmul_nt_is_bit_identical_to_naive((m, k, n, a, b) in nt_problem()) {
         let got = Matrix::from_vec(m, k, a.clone()).matmul_nt(&Matrix::from_vec(n, k, b.clone()));
@@ -208,36 +181,10 @@ proptest! {
         }
     }
 
-    /// The explicit 8-wide micro-kernel ≡ naive, bitwise — regardless of
-    /// whether dispatch would have picked it (`simd_nn` is called
-    /// directly, so this holds even under `BAFFLE_NO_SIMD=1`).
-    #[test]
-    fn simd_nn_is_bit_identical_to_naive((m, k, n, a, b) in nn_problem()) {
-        let mut got = vec![0.0f32; m * n];
-        gemm::simd_nn(m, k, n, &a, &b, &mut got);
-        let mut want = vec![0.0f32; m * n];
-        gemm::naive_nn(m, k, n, &a, &b, &mut want);
-        for (x, y) in got.iter().zip(&want) {
-            prop_assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    /// The 8-wide Aᵀ·B micro-kernel (strided A reads) ≡ naive, bitwise.
-    #[test]
-    fn simd_tn_is_bit_identical_to_naive((m, k, n, a, b) in tn_problem()) {
-        let mut got = vec![0.0f32; k * n];
-        gemm::simd_tn(m, k, n, &a, &b, &mut got);
-        let mut want = vec![0.0f32; k * n];
-        gemm::naive_tn(m, k, n, &a, &b, &mut want);
-        for (x, y) in got.iter().zip(&want) {
-            prop_assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
     /// Wide-N problems exercise the full 64-column accumulator sweep and
     /// both tails in one shot; dims straddle the 64/8/1 boundaries.
     #[test]
-    fn simd_wide_rows_are_bit_identical(
+    fn wide_rows_are_bit_identical(
         m in 1usize..=4,
         k in 1usize..=48,
         n in 57usize..=97,
@@ -252,77 +199,18 @@ proptest! {
         let a: Vec<f32> = (0..m * k).map(|_| next()).collect();
         let b: Vec<f32> = (0..k * n).map(|_| next()).collect();
         let mut got = vec![0.0f32; m * n];
-        gemm::simd_nn(m, k, n, &a, &b, &mut got);
+        gemm::nn(m, k, n, &a, &b, &mut got);
         let mut want = vec![0.0f32; m * n];
         gemm::naive_nn(m, k, n, &a, &b, &mut want);
         for (x, y) in got.iter().zip(&want) {
             prop_assert_eq!(x.to_bits(), y.to_bits());
         }
     }
-}
 
-// ---------------------------------------------------------------------------
-// Fast-math tier vs the bit-exact oracle: the FMA-contracted kernels are
-// called DIRECTLY (no dispatch), so these properties hold on every tier and
-// pin the documented `error_bound` contract — per element,
-// |fast − exact| ≤ error_bound(depth) · Σᵢ|aᵢ|·|bᵢ|, with the envelope
-// accumulated in f64 so the bound itself carries no rounding slack.
-// ---------------------------------------------------------------------------
-
-proptest! {
-    /// `fast_nn` stays within the documented relative-error bound of the
-    /// exact kernel, element-wise, across random shapes and data.
+    /// Fused batched blocks ≡ standalone `nn` calls, bitwise — each
+    /// block runs the same serial kernel over the same data.
     #[test]
-    fn fast_nn_within_error_bound_of_exact((m, k, n, a, b) in nn_problem()) {
-        let mut exact = vec![0.0f32; m * n];
-        gemm::naive_nn(m, k, n, &a, &b, &mut exact);
-        let mut fast = vec![0.0f32; m * n];
-        gemm::fast_nn(m, k, n, &a, &b, &mut fast);
-        let bound = gemm::error_bound(k);
-        for i in 0..m {
-            for j in 0..n {
-                let envelope: f64 = (0..k)
-                    .map(|kk| (a[i * k + kk] as f64 * b[kk * n + j] as f64).abs())
-                    .sum();
-                let diff = (fast[i * n + j] as f64 - exact[i * n + j] as f64).abs();
-                prop_assert!(
-                    diff <= bound * envelope + f64::EPSILON,
-                    "({}, {}): |{} - {}| = {} > {}",
-                    i, j, fast[i * n + j], exact[i * n + j], diff, bound * envelope
-                );
-            }
-        }
-    }
-
-    /// `fast_tn` (Aᵀ·B orientation, depth = the shared row count) obeys
-    /// the same bound.
-    #[test]
-    fn fast_tn_within_error_bound_of_exact((m, k, n, a, b) in tn_problem()) {
-        let mut exact = vec![0.0f32; k * n];
-        gemm::naive_tn(m, k, n, &a, &b, &mut exact);
-        let mut fast = vec![0.0f32; k * n];
-        gemm::fast_tn(m, k, n, &a, &b, &mut fast);
-        let bound = gemm::error_bound(m);
-        for i in 0..k {
-            for j in 0..n {
-                let envelope: f64 = (0..m)
-                    .map(|r| (a[r * k + i] as f64 * b[r * n + j] as f64).abs())
-                    .sum();
-                let diff = (fast[i * n + j] as f64 - exact[i * n + j] as f64).abs();
-                prop_assert!(
-                    diff <= bound * envelope + f64::EPSILON,
-                    "({}, {}): |{} - {}| = {} > {}",
-                    i, j, fast[i * n + j], exact[i * n + j], diff, bound * envelope
-                );
-            }
-        }
-    }
-
-    /// Fused batched blocks ≡ standalone `nn` calls, bitwise, on EVERY
-    /// tier — each block runs the same serial kernel over the same data,
-    /// so even the fast kernels must agree with themselves.
-    #[test]
-    fn batched_nn_blocks_match_standalone_on_all_tiers(
+    fn batched_nn_blocks_match_standalone(
         nb in 1usize..=4,
         (m, k, n) in (1usize..=12, 1usize..=12, 1usize..=12),
         seed in any::<u64>(),

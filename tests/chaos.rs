@@ -283,7 +283,7 @@ fn total_blackout_to_one_node_only_costs_participation() {
 /// rounds complete in sequence (the torn round re-run by the new
 /// server), zero honest-client rejections even though torn-round
 /// traffic is still in flight during the re-ask, and no client exits
-/// with a gapped history window. The recovery criterion is exact: the
+/// with a gapped history window. The recovery condition is exact: the
 /// promoted standby's checkpoint must be byte-identical to the one the
 /// primary cut immediately before the torn round.
 #[test]
