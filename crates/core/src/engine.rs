@@ -1,5 +1,5 @@
-//! Incremental validation engine: confusion-matrix caching + fused
-//! multi-model evaluation for Algorithm 2.
+//! Incremental validation engine: confusion-matrix caching for
+//! Algorithm 2.
 //!
 //! `Validator::validate` recomputes one confusion matrix per history model
 //! on **every** call — O(ℓ·|D|) forward passes per validator per round —
@@ -28,12 +28,11 @@
 //! The engine has one validation path,
 //! [`ValidationEngine::validate_batched`]: the candidate and every
 //! window model missing from the cache (all of them on a cold cache —
-//! first round, or after a client re-syncs a long history delta) are
-//! stacked into one [`ConfusionMatrix::from_models`] pass, turning
-//! ℓ + 2 per-model forward sweeps into a single wide GEMM pass per layer
-//! ([`baffle_nn::Model::predict_multi`]). Its oracle is the uncached
-//! [`Validator::validate_detailed`], which evaluates every model
-//! separately; results are keyed by id, so evaluation order cannot
+//! first round, or after a client re-syncs a long history delta) go
+//! through one [`ConfusionMatrix::from_models`] call, which runs a
+//! plain forward pass per model. Its oracle is the uncached
+//! [`Validator::validate_detailed`], which evaluates the whole window
+//! every time; results are keyed by id, so evaluation order cannot
 //! affect the verdict.
 
 use crate::validate::{Diagnostics, ValidateError, Validator, Verdict, MIN_HISTORY};
@@ -186,14 +185,13 @@ impl ValidationEngine {
 
     /// Cached equivalent of [`Validator::validate_detailed`]. The
     /// candidate and every window model missing from the cache are
-    /// stacked into a single [`ConfusionMatrix::from_models`] pass, so a
-    /// cold cache costs one fused multi-model GEMM sweep per layer over
-    /// the validation set instead of ℓ + 2 sequential forward passes
-    /// (see [`baffle_nn::Model::predict_multi`]). A warm cache evaluates
-    /// a two-model batch (the candidate plus the newest accepted model)
-    /// — its cost is independent of ℓ. Entries that left the window are
-    /// evicted, and the decision runs through the shared
-    /// [`Validator::validate_confusions`].
+    /// evaluated by one [`ConfusionMatrix::from_models`] call — one
+    /// forward pass over the validation set per model, so a cold cache
+    /// costs ℓ + 2 passes and a warm one two (the candidate plus the
+    /// newest accepted model), independent of ℓ. Entries that left the
+    /// window are evicted, and the decision runs through the shared
+    /// [`Validator::validate_confusions`] over the cached matrices, by
+    /// reference.
     ///
     /// The diagnostics are bit-identical to the uncached
     /// [`Validator::validate_detailed`] (property-tested in
@@ -215,11 +213,11 @@ impl ValidationEngine {
     ) -> Result<Diagnostics, ValidateError> {
         let (ids, window, missing) = self.prepare(ids, history, data)?;
 
-        // One fused pass over the shard evaluates every missing history
-        // model and the candidate together. The candidate rides in the
-        // batch but is never cached: it has no id until (and unless) the
-        // quorum accepts it, and caching speculative models would let a
-        // rejected candidate poison a future lookup.
+        // Every missing history model and the candidate are evaluated
+        // in one call. The candidate rides in the batch but is never
+        // cached: it has no id until (and unless) the quorum accepts
+        // it, and caching speculative models would let a rejected
+        // candidate poison a future lookup.
         let mut batch: Vec<&M> = missing.iter().map(|&i| &window[i]).collect();
         batch.push(current);
         let mut cms = ConfusionMatrix::from_models(&batch, data.features(), data.labels());
@@ -269,8 +267,8 @@ impl ValidationEngine {
         num_samples: usize,
     ) -> Result<Diagnostics, ValidateError> {
         self.cache.retain_window(ids);
-        let confusions: Vec<ConfusionMatrix> =
-            ids.iter().map(|&id| self.cache.get(id).expect("window cached").clone()).collect();
+        let confusions: Vec<&ConfusionMatrix> =
+            ids.iter().map(|&id| self.cache.get(id).expect("window cached")).collect();
         self.validator.validate_confusions(&confusions, &current_cm, num_samples)
     }
 }

@@ -25,6 +25,7 @@ use baffle_lof::{LofError, LofModel};
 use baffle_nn::{ConfusionMatrix, Model};
 use baffle_tensor::pool;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 
 /// Fan the leave-one-out threshold loop across the worker pool only when
 /// the trusted window is at least this wide: each iteration is a small
@@ -289,10 +290,11 @@ impl Validator {
     }
 
     /// The decision half of Algorithm 2, starting from precomputed
-    /// confusion matrices — `history` holds one matrix per accepted model
-    /// (oldest first) over the caller's validation set, `current` the
-    /// candidate's matrix over the same set, and `num_samples` the size
-    /// of that set (used by the quantisation guard).
+    /// confusion matrices — `history` holds one matrix, owned or
+    /// borrowed, per accepted model (oldest first) over the caller's
+    /// validation set, `current` the candidate's matrix over the same
+    /// set, and `num_samples` the size of that set (used by the
+    /// quantisation guard).
     ///
     /// This is the entry point for callers that cache confusion matrices
     /// across rounds (see [`crate::engine::ValidationEngine`]); the
@@ -305,7 +307,7 @@ impl Validator {
     /// Same as [`Validator::validate`].
     pub fn validate_confusions(
         &self,
-        history: &[ConfusionMatrix],
+        history: &[impl Borrow<ConfusionMatrix>],
         current: &ConfusionMatrix,
         num_samples: usize,
     ) -> Result<Diagnostics, ValidateError> {
@@ -319,10 +321,14 @@ impl Validator {
         let confusions = &history[start..];
 
         // Historical variations v_1..v_m and the candidate's v_{m+1}.
-        let refs: Vec<Vec<f32>> =
-            confusions.windows(2).map(|w| variation_from_confusions(&w[0], &w[1])).collect();
-        let v_new =
-            variation_from_confusions(confusions.last().expect("window non-empty"), current);
+        let refs: Vec<Vec<f32>> = confusions
+            .windows(2)
+            .map(|w| variation_from_confusions(w[0].borrow(), w[1].borrow()))
+            .collect();
+        let v_new = variation_from_confusions(
+            confusions.last().expect("window non-empty").borrow(),
+            current,
+        );
 
         let k = self.config.k();
         let mut phi_new = LofModel::fit(refs.clone(), k)?.score(&v_new)?;

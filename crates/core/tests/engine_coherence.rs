@@ -1,13 +1,13 @@
 //! Cache-coherence property: the incremental [`ValidationEngine`]
-//! (fused multi-model evaluation over a confusion-matrix cache) and the
-//! plain [`Validator`] (its oracle: every model evaluated separately,
-//! nothing cached) must return **bit-identical** results — vote, outlier
+//! (evaluation of only the missing models over a confusion-matrix cache)
+//! and the plain [`Validator`] (its oracle: the whole window evaluated
+//! every time, nothing cached) must return **bit-identical** results — vote, outlier
 //! factor φ, threshold τ, diagnostics, and errors — across arbitrary
 //! sequences of accepted rounds, rejected rounds and deferred-validation
 //! rollbacks. Both share the same decision code
 //! (`Validator::validate_confusions`), so any divergence means the
-//! cache served a wrong or stale confusion matrix, or the batched
-//! fan-out evaluated a model on the wrong rows.
+//! cache served a wrong or stale confusion matrix, or a batch result
+//! was filed under the wrong id.
 
 use baffle_core::{ValidationConfig, ValidationEngine, Validator};
 use baffle_data::Dataset;

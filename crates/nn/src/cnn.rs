@@ -375,57 +375,6 @@ impl Model for Cnn {
     fn predict_batch(&self, x: &Matrix) -> Vec<usize> {
         self.forward(x).argmax_rows()
     }
-
-    /// Fused multi-model prediction: the first conv stage packs the
-    /// shared input rows once and stacks the weight matrices row-wise
-    /// ([`Conv1d::forward_multi_shared`]), every later stage runs as one
-    /// block-diagonal [`Conv1d::forward_multi`] call, and the dense
-    /// heads as one [`Dense::forward_multi`]. Residual skips are added
-    /// after each stage's activation, exactly as in [`Cnn::forward`].
-    ///
-    /// Every fused block runs the same-shape kernel the sequential path
-    /// would, so predictions are bit-identical to per-model
-    /// [`Model::predict_rows`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the models do not all share one [`CnnSpec`].
-    fn predict_multi(models: &[&Self], x: &Matrix, r0: usize, r1: usize) -> Vec<Vec<usize>> {
-        if models.is_empty() {
-            return Vec::new();
-        }
-        if models.len() == 1 {
-            return vec![models[0].predict_rows(x, r0, r1)];
-        }
-        for m in models {
-            assert_eq!(m.spec, models[0].spec, "Cnn::predict_multi: mismatched architectures");
-        }
-        // One copy of the shared rows for all models (the sequential
-        // path copies them once per model).
-        let xm = x.view_rows(r0, r1).to_matrix();
-        let stage0: Vec<&Conv1d> = models.iter().map(|m| &m.convs[0]).collect();
-        let mut hs = Conv1d::forward_multi_shared(&stage0, &xm);
-        if models[0].skip_at(0) {
-            for h in &mut hs {
-                h.add_assign(&xm);
-            }
-        }
-        for s in 1..models[0].convs.len() {
-            let convs: Vec<&Conv1d> = models.iter().map(|m| &m.convs[s]).collect();
-            let inputs: Vec<&Matrix> = hs.iter().collect();
-            let mut outs = Conv1d::forward_multi(&convs, &inputs);
-            if models[0].skip_at(s) {
-                for (out, h) in outs.iter_mut().zip(&hs) {
-                    out.add_assign(h);
-                }
-            }
-            hs = outs;
-        }
-        let pooled: Vec<Matrix> = hs.iter().map(|h| models[0].pool.forward(h)).collect();
-        let heads: Vec<&Dense> = models.iter().map(|m| &m.head).collect();
-        let inputs: Vec<&Matrix> = pooled.iter().collect();
-        Dense::forward_multi(&heads, &inputs).into_iter().map(|l| l.argmax_rows()).collect()
-    }
 }
 
 #[cfg(test)]
@@ -561,21 +510,5 @@ mod tests {
     #[should_panic(expected = "kernel must be odd")]
     fn even_kernel_spec_panics() {
         let _ = CnnSpec::new(8, &[4], 4, 2);
-    }
-
-    #[test]
-    fn predict_multi_matches_sequential_exactly() {
-        // Every fused block (row-stacked stage 0, block-diagonal later
-        // stages and heads) runs the same-shape kernel the sequential
-        // path would, so this holds bitwise.
-        let spec = CnnSpec::new(10, &[4, 4], 3, 3).with_residual();
-        let mut rng = StdRng::seed_from_u64(7);
-        let models: Vec<Cnn> = (0..4).map(|_| Cnn::new(&spec, &mut rng)).collect();
-        let x = Matrix::from_fn(9, 10, |r, j| ((r * 10 + j) as f32 * 0.19).sin());
-        let refs: Vec<&Cnn> = models.iter().collect();
-        let multi = Cnn::predict_multi(&refs, &x, 1, 8);
-        for (i, preds) in multi.iter().enumerate() {
-            assert_eq!(preds, &models[i].predict_rows(&x, 1, 8), "model {i}");
-        }
     }
 }

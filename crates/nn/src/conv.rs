@@ -296,115 +296,6 @@ impl Conv1d {
         self.convolve(x).map(|v| act.apply(v))
     }
 
-    /// Unpacks a transposed `oc × (batch·len)` GEMM output block back to
-    /// batch-major rows, applying the activation.
-    fn unpack_transposed(&self, batch: usize, out_t: &[f32]) -> Matrix {
-        let len = self.length;
-        let cl = batch * len;
-        let mut out = Matrix::zeros(batch, self.out_dim());
-        for bi in 0..batch {
-            let row = out.row_mut(bi);
-            for o in 0..self.out_channels {
-                row[o * len..(o + 1) * len]
-                    .copy_from_slice(&out_t[o * cl + bi * len..o * cl + (bi + 1) * len]);
-            }
-        }
-        let act = self.activation;
-        out.map_assign(|v| act.apply(v));
-        out
-    }
-
-    fn check_same_arch(convs: &[&Conv1d]) -> (usize, usize, usize, usize) {
-        assert!(!convs.is_empty(), "Conv1d::forward_multi*: no layers");
-        let arch = (convs[0].in_channels, convs[0].out_channels, convs[0].kernel, convs[0].length);
-        for c in convs {
-            assert_eq!(
-                (c.in_channels, c.out_channels, c.kernel, c.length),
-                arch,
-                "Conv1d::forward_multi*: mismatched layer architectures"
-            );
-        }
-        arch
-    }
-
-    /// Forward pass of several identically-shaped conv layers over one
-    /// *shared* input: the input is packed once (a single im2col) and
-    /// the weight matrices are stacked row-wise into an
-    /// `(nb·oc) × (ic·K)` block for one fused GEMM.
-    ///
-    /// Because every output row of the product depends only on its own
-    /// weight row and the shared im2col buffer, each per-layer row block
-    /// is bit-identical to [`Conv1d::forward`] on the same input.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `convs` is empty, architectures differ, or the input
-    /// width mismatches.
-    pub fn forward_multi_shared(convs: &[&Conv1d], x: &Matrix) -> Vec<Matrix> {
-        let (ic, oc, kernel, len) = Self::check_same_arch(convs);
-        convs[0].check_input(x);
-        let nb = convs.len();
-        let batch = x.rows();
-        let cl = batch * len;
-        let ick = ic * kernel;
-        let mut col = vec![0.0f32; ick * cl];
-        im2col_into(x, ic, kernel, len, &mut col);
-        let mut w = Vec::with_capacity(nb * oc * ick);
-        let mut out_t = vec![0.0f32; nb * oc * cl];
-        for (li, c) in convs.iter().enumerate() {
-            w.extend_from_slice(c.w.as_slice());
-            let block = &mut out_t[li * oc * cl..(li + 1) * oc * cl];
-            for (chunk, &bo) in block.chunks_mut(cl.max(1)).zip(&c.b) {
-                chunk.fill(bo);
-            }
-        }
-        gemm::concat_nn(nb * oc, ick, cl, &w, &col, &mut out_t);
-        convs
-            .iter()
-            .enumerate()
-            .map(|(li, c)| c.unpack_transposed(batch, &out_t[li * oc * cl..(li + 1) * oc * cl]))
-            .collect()
-    }
-
-    /// Forward pass of several identically-shaped conv layers over
-    /// *per-layer* inputs: each input is packed into its slot of one
-    /// contiguous im2col buffer and all products run as a single
-    /// block-diagonal [`gemm::batched_nn`] call.
-    ///
-    /// Each block runs the same-shape kernel a standalone call would, so
-    /// every per-layer output is bit-identical to [`Conv1d::forward`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths or shapes mismatch.
-    pub fn forward_multi(convs: &[&Conv1d], xs: &[&Matrix]) -> Vec<Matrix> {
-        let (ic, oc, kernel, len) = Self::check_same_arch(convs);
-        assert_eq!(convs.len(), xs.len(), "Conv1d::forward_multi: layers vs inputs");
-        let nb = convs.len();
-        let batch = xs[0].rows();
-        let cl = batch * len;
-        let ick = ic * kernel;
-        let mut col = vec![0.0f32; nb * ick * cl];
-        let mut w = Vec::with_capacity(nb * oc * ick);
-        let mut out_t = vec![0.0f32; nb * oc * cl];
-        for (li, (c, x)) in convs.iter().zip(xs).enumerate() {
-            assert_eq!(x.rows(), batch, "Conv1d::forward_multi: mismatched batch sizes");
-            c.check_input(x);
-            im2col_into(x, ic, kernel, len, &mut col[li * ick * cl..(li + 1) * ick * cl]);
-            w.extend_from_slice(c.w.as_slice());
-            let block = &mut out_t[li * oc * cl..(li + 1) * oc * cl];
-            for (chunk, &bo) in block.chunks_mut(cl.max(1)).zip(&c.b) {
-                chunk.fill(bo);
-            }
-        }
-        gemm::batched_nn(nb, oc, ick, cl, &w, &col, &mut out_t);
-        convs
-            .iter()
-            .enumerate()
-            .map(|(li, c)| c.unpack_transposed(batch, &out_t[li * oc * cl..(li + 1) * oc * cl]))
-            .collect()
-    }
-
     /// Forward pass through the retained scalar loops, regardless of
     /// [`Conv1d::force_naive`]. The bit-exactness reference for the
     /// GEMM path (see the module docs).
@@ -901,38 +792,6 @@ mod tests {
         let _ = Conv1d::new(1, 1, 2, 4, Activation::Relu, &mut rng);
     }
 
-    #[test]
-    fn forward_multi_shared_matches_forward_exactly() {
-        // Row-stacked weights: every per-layer row block runs the same
-        // per-row computation a standalone call would, so this holds
-        // bitwise.
-        let mut rng = StdRng::seed_from_u64(9);
-        let convs: Vec<Conv1d> =
-            (0..3).map(|_| Conv1d::new(2, 3, 3, 6, Activation::Relu, &mut rng)).collect();
-        let x = Matrix::from_fn(4, 12, |r, j| ((r * 12 + j) as f32 * 0.29).sin());
-        let refs: Vec<&Conv1d> = convs.iter().collect();
-        let outs = Conv1d::forward_multi_shared(&refs, &x);
-        for (i, out) in outs.iter().enumerate() {
-            assert_eq!(out, &convs[i].forward(&x), "conv {i}");
-        }
-    }
-
-    #[test]
-    fn forward_multi_matches_forward_exactly() {
-        let mut rng = StdRng::seed_from_u64(10);
-        let convs: Vec<Conv1d> =
-            (0..4).map(|_| Conv1d::new(3, 3, 5, 7, Activation::Tanh, &mut rng)).collect();
-        let xs: Vec<Matrix> = (0..4)
-            .map(|i| Matrix::from_fn(3, 21, |r, j| ((i * 63 + r * 21 + j) as f32 * 0.11).cos()))
-            .collect();
-        let crefs: Vec<&Conv1d> = convs.iter().collect();
-        let xrefs: Vec<&Matrix> = xs.iter().collect();
-        let outs = Conv1d::forward_multi(&crefs, &xrefs);
-        for (i, out) in outs.iter().enumerate() {
-            assert_eq!(out, &convs[i].forward(&xs[i]), "conv {i}");
-        }
-    }
-
     /// The persistent caches must make repeated same-shape GEMM-path
     /// train cycles allocation-free without changing any numeric result.
     #[test]
@@ -967,14 +826,5 @@ mod tests {
             c.dxt.as_ptr(),
         ];
         assert_eq!(ptrs, again, "steady-state conv train cycle must not reallocate");
-    }
-
-    #[test]
-    #[should_panic(expected = "mismatched layer architectures")]
-    fn forward_multi_rejects_mismatched_architectures() {
-        let a = conv(1, 2, 3, 5, Activation::Relu);
-        let b = conv(1, 2, 5, 5, Activation::Relu);
-        let x = Matrix::zeros(1, 5);
-        let _ = Conv1d::forward_multi_shared(&[&a, &b], &x);
     }
 }

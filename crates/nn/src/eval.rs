@@ -113,18 +113,14 @@ impl ConfusionMatrix {
         cm
     }
 
-    /// Builds one confusion matrix per model in a single fused pass over
-    /// the labelled set — the batched form of
-    /// [`ConfusionMatrix::from_model`] used by the validation engine's
-    /// cold path, where every history model must be scored on the same
-    /// shard.
+    /// Builds one confusion matrix per model over the same labelled set:
+    /// [`ConfusionMatrix::from_model`] on each model in turn, in `models`
+    /// order. This is the validation engine's cold path, where every
+    /// history model must be scored on the same shard.
     ///
-    /// Rows are chunked across the worker pool exactly as in
-    /// `from_model`; each chunk evaluates all models at once through
-    /// [`Model::predict_multi`], which architectures like
-    /// [`crate::Mlp`] and [`crate::Cnn`] implement as wide/stacked GEMM
-    /// passes. On the default bit-exact kernels every returned matrix is
-    /// bit-identical to `from_model` on the corresponding model.
+    /// Deliberately not a packed multi-model GEMM: measured, packing the
+    /// operands cost more per model than the plain forward pass does
+    /// (DESIGN.md §17 keeps the numbers).
     ///
     /// # Panics
     ///
@@ -138,40 +134,17 @@ impl ConfusionMatrix {
             x.rows(),
             y.len()
         );
-        if models.is_empty() {
-            return Vec::new();
-        }
-        let nc = models[0].num_classes();
-        for m in models {
-            assert_eq!(m.num_classes(), nc, "ConfusionMatrix::from_models: class count mismatch");
-        }
-        let rows = x.rows();
-        let chunk = if rows >= 2 * EVAL_CHUNK_ROWS && pool::threads() > 1 {
-            rows.div_ceil(pool::threads()).max(EVAL_CHUNK_ROWS)
-        } else {
-            rows.max(1)
-        };
-        let ranges: Vec<(usize, usize)> =
-            (0..rows).step_by(chunk).map(|s| (s, (s + chunk).min(rows))).collect();
-        let parts = pool::parallel_map(ranges, |_, (s, e)| {
-            M::predict_multi(models, x, s, e)
-                .into_iter()
-                .map(|preds| {
-                    let mut part = Self::new(nc);
-                    for (&t, &p) in y[s..e].iter().zip(&preds) {
-                        part.record(t, p);
-                    }
-                    part
-                })
-                .collect::<Vec<_>>()
-        });
-        let mut cms = vec![Self::new(nc); models.len()];
-        for part in &parts {
-            for (cm, p) in cms.iter_mut().zip(part) {
-                cm.merge(p);
+        if let Some(first) = models.first() {
+            let nc = first.num_classes();
+            for m in models {
+                assert_eq!(
+                    m.num_classes(),
+                    nc,
+                    "ConfusionMatrix::from_models: class count mismatch"
+                );
             }
         }
-        cms
+        models.iter().map(|m| Self::from_model(*m, x, y)).collect()
     }
 
     /// Records one `(true, predicted)` observation.

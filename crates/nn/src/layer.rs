@@ -1,10 +1,9 @@
 //! Fully-connected (dense) layer with manual backpropagation.
 
 use crate::{Activation, Sgd};
-use baffle_tensor::{gemm, rng, Matrix, MatrixView, Workspace};
+use baffle_tensor::{rng, Matrix, MatrixView};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
 
 /// A dense layer `y = act(x · W + b)` with cached forward state for
 /// backpropagation.
@@ -44,15 +43,6 @@ pub struct Dense {
     /// δ = grad_out ⊙ act′(pre) scratch for `backward`.
     #[serde(skip)]
     delta: Matrix,
-}
-
-thread_local! {
-    /// Per-thread buffer pool for [`Dense::forward_multi_shared`]'s
-    /// stacked `wide_w` block and wide product. Per-thread so validation
-    /// chunks fanned out on the worker pool never contend, and so the
-    /// borrow is local to a single call (the `RefCell` is released before
-    /// the GEMM runs — nothing inside the kernels re-enters this cache).
-    static MULTI_SHARED_SCRATCH: RefCell<Workspace> = RefCell::new(Workspace::new());
 }
 
 impl Dense {
@@ -125,122 +115,6 @@ impl Dense {
         let act = self.activation;
         pre.map_assign(|v| act.apply(v));
         pre
-    }
-
-    /// Forward pass of several identically-shaped layers over one *shared*
-    /// input, fused into a single wide GEMM.
-    ///
-    /// The weight matrices are horizontally concatenated into an
-    /// `in_dim × (nb·out_dim)` block and multiplied once via
-    /// [`gemm::concat_nn`]; the wide product is then split back into
-    /// per-layer outputs with each layer's own bias and activation
-    /// applied. Every per-layer output is bit-identical to
-    /// [`Dense::forward`] on the same input.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `layers` is empty, the layers do not all share one
-    /// `(in_dim, out_dim)` shape, or `x.cols() != in_dim`.
-    pub fn forward_multi_shared(layers: &[&Dense], x: MatrixView<'_>) -> Vec<Matrix> {
-        assert!(!layers.is_empty(), "Dense::forward_multi_shared: no layers");
-        let (in_dim, out_dim) = (layers[0].in_dim(), layers[0].out_dim());
-        for l in layers {
-            assert_eq!(
-                (l.in_dim(), l.out_dim()),
-                (in_dim, out_dim),
-                "Dense::forward_multi_shared: mismatched layer shapes"
-            );
-        }
-        assert_eq!(x.cols(), in_dim, "Dense::forward_multi_shared: input width");
-        let nb = layers.len();
-        let (m, wide) = (x.rows(), nb * out_dim);
-        // The stacked weight block and the wide product are the two big
-        // scratch buffers of the fused pass; validation calls this once
-        // per chunk, so their allocations are cached per thread (contents
-        // are rewritten every call — the weights may have changed — only
-        // the backing storage is reused, mirroring the conv im2col cache).
-        let (mut wide_w, mut wide_out) = MULTI_SHARED_SCRATCH.with(|ws| {
-            let mut ws = ws.borrow_mut();
-            (ws.take(in_dim, wide), ws.take_zeroed(m, wide))
-        });
-        // Row r of the wide weight block is W_0[r] ++ W_1[r] ++ … so each
-        // layer owns a contiguous column stripe of the product. Every
-        // stripe of every row is overwritten, so `take`'s unspecified
-        // contents never leak into the product.
-        for (li, l) in layers.iter().enumerate() {
-            for r in 0..in_dim {
-                wide_w.row_mut(r)[li * out_dim..(li + 1) * out_dim].copy_from_slice(l.w.row(r));
-            }
-        }
-        gemm::concat_nn(m, in_dim, wide, x.as_slice(), wide_w.as_slice(), wide_out.as_mut_slice());
-        let outs = (0..nb)
-            .map(|li| {
-                let l = layers[li];
-                let mut data = Vec::with_capacity(m * out_dim);
-                for r in 0..m {
-                    data.extend_from_slice(&wide_out.row(r)[li * out_dim..(li + 1) * out_dim]);
-                }
-                let mut out = Matrix::from_vec(m, out_dim, data);
-                out.add_row_broadcast(&l.b);
-                let act = l.activation;
-                out.map_assign(|v| act.apply(v));
-                out
-            })
-            .collect();
-        MULTI_SHARED_SCRATCH.with(|ws| {
-            let mut ws = ws.borrow_mut();
-            ws.recycle(wide_w);
-            ws.recycle(wide_out);
-        });
-        outs
-    }
-
-    /// Forward pass of several identically-shaped layers over *per-layer*
-    /// inputs, fused into one block-diagonal GEMM.
-    ///
-    /// Inputs and weights are stacked contiguously and multiplied with
-    /// [`gemm::batched_nn`]; block `i` of the product is `xs[i] · W_i`.
-    /// Every per-layer output is bit-identical to [`Dense::forward`] on
-    /// the same input, because each block runs the same-shape kernel a
-    /// standalone call would.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `layers` and `xs` differ in length or any shape
-    /// disagrees with the first layer/input.
-    pub fn forward_multi(layers: &[&Dense], xs: &[&Matrix]) -> Vec<Matrix> {
-        assert!(!layers.is_empty(), "Dense::forward_multi: no layers");
-        assert_eq!(layers.len(), xs.len(), "Dense::forward_multi: layers vs inputs");
-        let (in_dim, out_dim) = (layers[0].in_dim(), layers[0].out_dim());
-        let m = xs[0].rows();
-        let nb = layers.len();
-        let mut a = Vec::with_capacity(nb * m * in_dim);
-        let mut b = Vec::with_capacity(nb * in_dim * out_dim);
-        for (l, x) in layers.iter().zip(xs) {
-            assert_eq!(
-                (l.in_dim(), l.out_dim()),
-                (in_dim, out_dim),
-                "Dense::forward_multi: mismatched layer shapes"
-            );
-            assert_eq!(x.shape(), (m, in_dim), "Dense::forward_multi: mismatched input shapes");
-            a.extend_from_slice(x.as_slice());
-            b.extend_from_slice(l.w.as_slice());
-        }
-        if m * out_dim == 0 {
-            return layers.iter().map(|_| Matrix::zeros(m, out_dim)).collect();
-        }
-        let mut out = vec![0.0f32; nb * m * out_dim];
-        gemm::batched_nn(nb, m, in_dim, out_dim, &a, &b, &mut out);
-        out.chunks(m * out_dim)
-            .zip(layers)
-            .map(|(blk, l)| {
-                let mut o = Matrix::from_vec(m, out_dim, blk.to_vec());
-                o.add_row_broadcast(&l.b);
-                let act = l.activation;
-                o.map_assign(|v| act.apply(v));
-                o
-            })
-            .collect()
     }
 
     /// Training forward pass; caches the input and pre-activation for a
@@ -573,46 +447,5 @@ mod tests {
         for r in 0..3 {
             assert_eq!(part.row(r), full.row(r + 2));
         }
-    }
-
-    #[test]
-    fn forward_multi_matches_standalone_forward_exactly() {
-        // Block-diagonal products run the same-shape kernel a standalone
-        // call would, so this holds bitwise.
-        let mut rng = StdRng::seed_from_u64(21);
-        let layers: Vec<Dense> =
-            (0..3).map(|_| Dense::new(5, 4, Activation::Tanh, &mut rng)).collect();
-        let xs: Vec<Matrix> = (0..3)
-            .map(|i| Matrix::from_fn(7, 5, |r, c| ((i * 35 + r * 5 + c) as f32 * 0.17).cos()))
-            .collect();
-        let lrefs: Vec<&Dense> = layers.iter().collect();
-        let xrefs: Vec<&Matrix> = xs.iter().collect();
-        let outs = Dense::forward_multi(&lrefs, &xrefs);
-        for (i, out) in outs.iter().enumerate() {
-            assert_eq!(out, &layers[i].forward(&xs[i]), "layer {i}");
-        }
-    }
-
-    #[test]
-    fn forward_multi_shared_matches_standalone_forward() {
-        let mut rng = StdRng::seed_from_u64(22);
-        let layers: Vec<Dense> =
-            (0..4).map(|_| Dense::new(6, 3, Activation::Relu, &mut rng)).collect();
-        let x = Matrix::from_fn(9, 6, |r, c| ((r * 6 + c) as f32 * 0.13).sin());
-        let lrefs: Vec<&Dense> = layers.iter().collect();
-        let outs = Dense::forward_multi_shared(&lrefs, x.view());
-        for (i, out) in outs.iter().enumerate() {
-            assert_eq!(out, &layers[i].forward(&x), "layer {i}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "mismatched layer shapes")]
-    fn forward_multi_rejects_mismatched_shapes() {
-        let a = layer(3, 2, Activation::Identity);
-        let b = layer(2, 2, Activation::Identity);
-        let x = Matrix::zeros(1, 3);
-        let x2 = Matrix::zeros(1, 2);
-        let _ = Dense::forward_multi(&[&a, &b], &[&x, &x2]);
     }
 }

@@ -93,22 +93,4 @@ pub trait Model: Send {
     fn predict_rows(&self, x: &Matrix, r0: usize, r1: usize) -> Vec<usize> {
         self.predict_batch(&x.view_rows(r0, r1).to_matrix())
     }
-
-    /// Predicted class indices for rows `r0..r1` of `x` under each of
-    /// `models`, which must all share this model's architecture.
-    ///
-    /// Returns one prediction vector per model, in `models` order. The
-    /// default evaluates each model separately; architectures with a
-    /// batched forward pass (see [`Mlp`] and [`Cnn`]) override this to
-    /// fuse the fan-out into wide/stacked GEMM calls whose per-model
-    /// results are bit-identical to the sequential path.
-    ///
-    /// Not object-safe (`Self: Sized`); dynamic callers fall back to
-    /// per-model [`Model::predict_rows`].
-    fn predict_multi(models: &[&Self], x: &Matrix, r0: usize, r1: usize) -> Vec<Vec<usize>>
-    where
-        Self: Sized,
-    {
-        models.iter().map(|m| m.predict_rows(x, r0, r1)).collect()
-    }
 }

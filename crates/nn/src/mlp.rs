@@ -340,35 +340,6 @@ impl Model for Mlp {
         }
         h.argmax_rows()
     }
-
-    /// Fused multi-model prediction: the first layer runs as one wide
-    /// [`Dense::forward_multi_shared`] GEMM over the shared input rows
-    /// and every later layer as one block-diagonal
-    /// [`Dense::forward_multi`] call. The predictions are bit-identical
-    /// to per-model [`Model::predict_rows`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the models do not all share one [`MlpSpec`].
-    fn predict_multi(models: &[&Self], x: &Matrix, r0: usize, r1: usize) -> Vec<Vec<usize>> {
-        if models.is_empty() {
-            return Vec::new();
-        }
-        if models.len() == 1 {
-            return vec![models[0].predict_rows(x, r0, r1)];
-        }
-        for m in models {
-            assert_eq!(m.spec, models[0].spec, "Mlp::predict_multi: mismatched architectures");
-        }
-        let first: Vec<&Dense> = models.iter().map(|m| &m.layers[0]).collect();
-        let mut hs = Dense::forward_multi_shared(&first, x.view_rows(r0, r1));
-        for li in 1..models[0].layers.len() {
-            let layers: Vec<&Dense> = models.iter().map(|m| &m.layers[li]).collect();
-            let inputs: Vec<&Matrix> = hs.iter().collect();
-            hs = Dense::forward_multi(&layers, &inputs);
-        }
-        hs.into_iter().map(|h| h.argmax_rows()).collect()
-    }
 }
 
 #[cfg(test)]
@@ -492,28 +463,5 @@ mod tests {
         assert_eq!(model.predict_rows(&x, 3, 8), full[3..8]);
         assert_eq!(model.predict_rows(&x, 0, 10), full);
         assert!(model.predict_rows(&x, 4, 4).is_empty());
-    }
-
-    #[test]
-    fn predict_multi_matches_sequential() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let spec = MlpSpec::new(4, &[6, 5], 3);
-        let models: Vec<Mlp> = (0..5).map(|_| Mlp::new(&spec, &mut rng)).collect();
-        let x = Matrix::from_fn(12, 4, |r, c| ((r * 4 + c) as f32 * 0.23).cos());
-        let refs: Vec<&Mlp> = models.iter().collect();
-        let multi = Mlp::predict_multi(&refs, &x, 2, 11);
-        for (i, preds) in multi.iter().enumerate() {
-            assert_eq!(preds, &models[i].predict_rows(&x, 2, 11), "model {i}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "mismatched architectures")]
-    fn predict_multi_rejects_mismatched_specs() {
-        let mut rng = StdRng::seed_from_u64(10);
-        let a = Mlp::new(&MlpSpec::new(2, &[3], 2), &mut rng);
-        let b = Mlp::new(&MlpSpec::new(2, &[4], 2), &mut rng);
-        let x = Matrix::zeros(2, 2);
-        let _ = Mlp::predict_multi(&[&a, &b], &x, 0, 2);
     }
 }

@@ -15,7 +15,9 @@
 //! [`HEADER`]. Codec-specific fields (quantisation range, delta count)
 //! live inside the checksummed region, so a bit flip anywhere past the
 //! count is reported as [`DecodeErrorKind::Corrupted`] regardless of
-//! codec. Decoders demand exact frame boundaries: trailing bytes after
+//! codec. (The top-k codec also checksums the element count: its body
+//! is sized by the delta count alone, so nothing else would pin it.)
+//! Decoders demand exact frame boundaries: trailing bytes after
 //! the payload are rejected as [`DecodeErrorKind::Malformed`], which is
 //! what lets frames be cut from a TCP stream without a delimiter scan.
 
@@ -116,12 +118,26 @@ impl std::error::Error for EncodeError {}
 /// integrity check against line noise, not an authenticator). Public so
 /// the message-frame codec in `baffle-net` uses the same checksum.
 pub fn fnv1a(bytes: &[u8]) -> u32 {
-    let mut hash: u32 = 0x811C_9DC5;
+    fnv1a_more(0x811C_9DC5, bytes)
+}
+
+/// Continues an FNV-1a hash over further bytes.
+#[inline]
+fn fnv1a_more(mut hash: u32, bytes: &[u8]) -> u32 {
     for &b in bytes {
         hash ^= u32::from(b);
         hash = hash.wrapping_mul(0x0100_0193);
     }
     hash
+}
+
+/// The top-k checksum: FNV-1a over the header's vector-length field
+/// followed by the body. The dense codecs leave the length outside
+/// their checksum because a damaged length no longer matches the body
+/// size; a top-k body is sized by `k` alone, so a damaged `n` would
+/// otherwise decode — to a delta that applies to the wrong base length.
+fn topk_checksum(n_field: &[u8], body: &[u8]) -> u32 {
+    fnv1a_more(fnv1a(n_field), body)
 }
 
 const MAGIC_F32: u32 = 0xBAFF_1E32;
@@ -431,7 +447,7 @@ pub fn encode_topk(base: &[f32], target: &[f32], k: usize) -> Result<Bytes, Enco
     for &(_, delta) in &ranked {
         buf.put_f32_le(delta);
     }
-    let sum = fnv1a(&buf[HEADER..]);
+    let sum = topk_checksum(&buf[4..8], &buf[HEADER..]);
     buf[8..12].copy_from_slice(&sum.to_le_bytes());
     Ok(buf.freeze())
 }
@@ -452,9 +468,10 @@ pub fn decode_topk(mut bytes: &[u8]) -> Result<TopKDelta, DecodeError> {
     if bytes.get_u32_le() != MAGIC_TOPK {
         return Err(DecodeError::malformed("bad magic for top-k codec"));
     }
+    let n_field = &bytes[..4];
     let n = bytes.get_u32_le() as usize;
     let expected_sum = bytes.get_u32_le();
-    let checksummed: &[u8] = bytes;
+    let body: &[u8] = bytes;
     let k = bytes.get_u32_le() as usize;
     // Length before checksum so trailing garbage on an intact buffer is
     // Malformed, not Corrupted. (A bit flip in the k field therefore
@@ -465,7 +482,7 @@ pub fn decode_topk(mut bytes: &[u8]) -> Result<TopKDelta, DecodeError> {
     if bytes.remaining() > k.saturating_mul(8) {
         return Err(DecodeError::malformed("trailing bytes after payload"));
     }
-    if fnv1a(checksummed) != expected_sum {
+    if topk_checksum(n_field, body) != expected_sum {
         return Err(DecodeError::corrupted("payload checksum mismatch"));
     }
     if k > n {
@@ -746,10 +763,11 @@ mod tests {
         let base = sample_params(100);
         let target: Vec<f32> = base.iter().map(|&b| b + 0.01).collect();
         let enc = encode_topk(&base, &target, 10).unwrap();
-        // Byte 8 hits the checksum field, TOPK_HEADER.. hit index bytes,
-        // the tail hits a delta value. (A flip in the k field at byte 12
-        // reports Malformed instead — the frame length no longer adds up.)
-        for at in [8, TOPK_HEADER, TOPK_HEADER + 3, enc.len() - 1] {
+        // Byte 4 hits the vector length (checksummed for this codec),
+        // byte 8 the checksum field, TOPK_HEADER.. index bytes, the tail
+        // a delta value. (A flip in the k field at byte 12 reports
+        // Malformed instead — the frame length no longer adds up.)
+        for at in [4, 8, TOPK_HEADER, TOPK_HEADER + 3, enc.len() - 1] {
             let mut damaged = enc.to_vec();
             damaged[at] ^= 0x08;
             let err = decode_topk(&damaged).unwrap_err();

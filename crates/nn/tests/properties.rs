@@ -188,57 +188,11 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Batched multi-model evaluation vs the sequential path, bitwise: the CNN
-// property covers vertical weight stacking + block-diagonal heads, the
-// MLP property the horizontal concat.
+// `ConfusionMatrix::from_models` vs per-model `from_model`.
 // ---------------------------------------------------------------------------
 
 proptest! {
-    /// `Cnn::predict_multi` ≡ per-model sequential prediction.
-    #[test]
-    fn cnn_predict_multi_matches_sequential(
-        nb in 1usize..=4,
-        rows in 1usize..=8,
-        seed in 0u64..1000,
-        residual in any::<bool>(),
-    ) {
-        let mut spec = CnnSpec::new(8, &[3], 3, 3);
-        if residual {
-            spec = spec.with_residual();
-        }
-        let mut rng = StdRng::seed_from_u64(seed);
-        let models: Vec<Cnn> = (0..nb).map(|_| Cnn::new(&spec, &mut rng)).collect();
-        let refs: Vec<&Cnn> = models.iter().collect();
-        let x = baffle_tensor::rng::normal_matrix(&mut rng, rows, 8, 1.0);
-        let (r0, r1) = (rows / 3, rows);
-        let fused = Cnn::predict_multi(&refs, &x, r0, r1);
-        for (m, preds) in models.iter().zip(&fused) {
-            prop_assert_eq!(preds, &m.predict_rows(&x, r0, r1));
-        }
-    }
-
-    /// `Mlp::predict_multi` ≡ per-model sequential prediction.
-    #[test]
-    fn mlp_predict_multi_matches_sequential(
-        nb in 1usize..=5,
-        rows in 1usize..=10,
-        hidden in prop::collection::vec(1usize..7, 0..3),
-        seed in 0u64..1000,
-    ) {
-        let spec = MlpSpec::new(4, &hidden, 3);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let models: Vec<Mlp> = (0..nb).map(|_| Mlp::new(&spec, &mut rng)).collect();
-        let refs: Vec<&Mlp> = models.iter().collect();
-        let x = baffle_tensor::rng::normal_matrix(&mut rng, rows, 4, 1.0);
-        let (r0, r1) = (rows / 4, rows);
-        let fused = Mlp::predict_multi(&refs, &x, r0, r1);
-        for (m, preds) in models.iter().zip(&fused) {
-            prop_assert_eq!(preds, &m.predict_rows(&x, r0, r1));
-        }
-    }
-
-    /// Batched confusion matrices ≡ per-model `from_model`, entry for
-    /// entry.
+    /// One matrix per model, each ≡ `from_model` entry for entry.
     #[test]
     fn from_models_matches_from_model(
         nb in 1usize..=3,

@@ -63,9 +63,11 @@ proptest! {
         }
     }
 
-    /// Bit flips on top-k deltas are likewise rejected (the k field at
-    /// bytes 12..16 surfaces as a length mismatch, everything else past
-    /// byte 8 as corruption).
+    /// Bit flips on top-k deltas are likewise rejected: the magic
+    /// (bytes 0..4) and the k field (12..16, a length mismatch) surface
+    /// as malformed; the vector length (4..8, inside this codec's
+    /// checksum because nothing else pins it), the checksum field and
+    /// the body as corruption.
     #[test]
     fn topk_bit_flips_are_detected(
         p in prop::collection::vec(-5.0_f32..5.0, 2..64),

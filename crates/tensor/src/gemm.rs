@@ -17,14 +17,6 @@
 //! ([`dispatch_counts`]) so a perf change can be attributed to dispatch
 //! rather than to the kernel.
 //!
-//! The multi-model validation path adds two *batched* entry points on
-//! top of the same kernel: [`concat_nn`] (one shared left operand
-//! against horizontally-concatenated right operands — a plain wide
-//! product, tallied separately) and [`batched_nn`] (a block-diagonal
-//! product: `nb` independent same-shape products laid out
-//! contiguously, parallelised across blocks). Both preserve the
-//! per-element accumulation order of the equivalent per-model calls.
-//!
 //! # Bit-exactness
 //!
 //! Every path — naive, 8-wide, banded-parallel at any thread count —
@@ -34,32 +26,42 @@
 //! the 8-wide kernel assigns each output element to exactly one lane of
 //! one accumulator — lanes never mix and no FMA contraction is emitted,
 //! so each lane performs the oracle's multiply-then-add sequence
-//! verbatim. This is what lets seeded experiments reproduce exactly
-//! regardless of `BAFFLE_THREADS` or the CPU they run on.
+//! verbatim (a block whose width is not a multiple of 8 computes a few
+//! columns in two lanes, identically, and stores one of them). This is
+//! what lets seeded experiments reproduce exactly regardless of
+//! `BAFFLE_THREADS` or the CPU they run on.
 //!
 //! # Register blocking
 //!
-//! 64 output columns (eight 8-lane accumulators, enough independent
-//! dependency chains to hide add latency) are held in registers across
-//! a `KC = 256`-deep `k` sweep, so the output is loaded and stored once
-//! per sweep instead of once per `k`-step while `B` streams through in
-//! 64-wide rows. On x86-64 the kernel body is additionally compiled with
-//! AVX2 enabled and selected by a run-time CPU check, so an [`F32x8`] is
-//! a single 256-bit register even when the build targets baseline SSE2;
-//! both instantiations perform the same IEEE operations, so which one
-//! runs is unobservable in the output.
+//! Output columns are walked in blocks of 64 — eight 8-lane
+//! accumulators, enough independent dependency chains to hide add
+//! latency — held in registers across a `KC = 256`-deep `k` sweep, so
+//! the output is loaded and stored once per sweep instead of once per
+//! `k`-step while `B` streams through in 64-wide rows; a block is
+//! finished for every row before the next one starts, so its band of
+//! `B` stays cache-resident. The `n mod 64` columns left over form one
+//! more block under `⌈rem/8⌉` accumulators that advance through `k`
+//! together; when the remainder is not a multiple of 8 the last
+//! accumulator is loaded at columns `n−8..n`, overlapping its
+//! neighbour, and stores only the lanes nothing else owns
+//! (`simd_cols`). Only `n < 8` is scalar. On x86-64 the kernel body is
+//! additionally compiled with AVX2 enabled and selected by a run-time
+//! CPU check, so an [`F32x8`] is a single 256-bit register even when
+//! the build targets baseline SSE2; both instantiations perform the
+//! same IEEE operations, so which one runs is unobservable in the
+//! output.
 //!
-//! # Why one kernel (and the known defect it carries)
+//! # Why one kernel
 //!
 //! Until PR 12 a scalar cache-blocked tier and an FMA-contracted tier
-//! sat beside this kernel, each behind an environment switch. The
-//! benchmark showed neither paid for its switch — DESIGN.md §12 keeps
-//! the end-to-end medians and the kernel table at the shapes the system
-//! runs. The one place the deleted tiers were faster is a defect of
-//! `simd_row`: the `n mod 64` remainder columns run as
-//! single-accumulator chains (96×62: 13.6 GFLOP/s where the blocked
-//! kernel reached 24.1). Fixing that loop is the recorded follow-up
-//! (target: 96×62 ≥ 24 GFLOP/s), not a reason for a second kernel.
+//! sat beside this kernel, each behind an environment switch, and until
+//! PR 13 two batched multi-model entry points sat on top of it. The
+//! benchmark showed none of them paid for itself — DESIGN.md §12.1 and
+//! §17 keep the end-to-end medians, the kernel table at the shapes the
+//! system runs and the per-model evaluation cost. What is still
+//! latency-bound is the narrowest output: `n = 10` has two accumulators
+//! per row where the add latency wants eight; blocking two or four rows
+//! of `A` against one `B` row is the recorded follow-up.
 
 use crate::pool;
 use crate::simd::{F32x8, LANES};
@@ -94,11 +96,10 @@ fn check(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &[f32], what: 
 static HITS_BLOCKED: AtomicU64 = AtomicU64::new(0);
 static HITS_SIMD: AtomicU64 = AtomicU64::new(0);
 static HITS_BANDED: AtomicU64 = AtomicU64::new(0);
-static HITS_BATCHED: AtomicU64 = AtomicU64::new(0);
 
 /// Per-path hit counts of the [`nn`]/[`tn`]/[`nt`] dispatchers (see
 /// [`dispatch_counts`]). The field set is read by name by the
-/// benchmark, so it outlives the tiers two of its names came from.
+/// benchmark, so it outlives the tiers three of its names came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DispatchCounts {
     /// [`nt`] products small enough to run its direct scalar
@@ -110,9 +111,8 @@ pub struct DispatchCounts {
     /// Products row-banded across the worker pool (each counted once,
     /// regardless of band count).
     pub banded: u64,
-    /// Multi-model batched products: [`concat_nn`] and [`batched_nn`]
-    /// calls (each counted once; these calls do not additionally tally
-    /// the serial/banded paths they run on).
+    /// Always 0: the multi-model batched entry points this counted are
+    /// gone; validation's products tally under `simd` like any other.
     pub batched: u64,
     /// Always 0: the FMA tier this counted is gone.
     pub fma: u64,
@@ -128,7 +128,7 @@ pub fn dispatch_counts() -> DispatchCounts {
         blocked: HITS_BLOCKED.load(Ordering::Relaxed),
         simd: HITS_SIMD.load(Ordering::Relaxed),
         banded: HITS_BANDED.load(Ordering::Relaxed),
-        batched: HITS_BATCHED.load(Ordering::Relaxed),
+        batched: 0,
         fma: 0,
     }
 }
@@ -210,63 +210,112 @@ fn avx2_available() -> bool {
     *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
 }
 
-/// One register-blocked sweep: `out_row[j] += Σ_{kk=k0..k1} a_at(kk) ·
-/// b[kk·n + j]` for every column `j` of the full `n`-wide row, in
-/// ascending-`kk` order per column. Columns are walked 64 at a time
-/// (eight 8-lane accumulators held in registers across the whole sweep
-/// — enough independent add chains to hide FP-add latency, with the
-/// `B` row hoisted to a fixed-size array so the inner loop carries a
-/// single bounds check), then 8 at a time, then a scalar tail. A column
-/// only ever lives in one lane of one accumulator, so each output
-/// element sees exactly the scalar multiply-then-add sequence.
+/// The kernel: `out[i·n + j] += Σ_{kk<depth} a_at(i, kk) · b[kk·n + j]`
+/// for every row `i < rows` and column `j < n`, in ascending-`kk` order
+/// per element. Columns are walked in blocks of up to 64 — eight 8-lane
+/// accumulators, enough independent add chains to hide FP-add latency —
+/// and each block is finished for all rows before the next starts, so
+/// its band of `B` stays cache-resident; the `n mod 64` columns left
+/// over form one last, narrower block ([`simd_cols`] explains how a
+/// width that is not a multiple of 8 is covered). Only `n < 8` runs
+/// scalar.
 #[inline(always)]
-fn simd_row(
-    k0: usize,
-    k1: usize,
-    a_at: impl Fn(usize) -> f32,
+fn simd_rows(
+    rows: usize,
+    depth: usize,
+    a_at: impl Fn(usize, usize) -> f32,
     b: &[f32],
     n: usize,
-    out_row: &mut [f32],
+    out: &mut [f32],
 ) {
     const JW: usize = 8 * LANES;
+    if n < LANES {
+        for (i, out_row) in out.chunks_exact_mut(n.max(1)).enumerate() {
+            for (j, o) in out_row.iter_mut().enumerate() {
+                let mut acc = *o;
+                for kk in 0..depth {
+                    acc += a_at(i, kk) * b[kk * n + j];
+                }
+                *o = acc;
+            }
+        }
+        return;
+    }
     let mut j = 0;
     while j + JW <= n {
-        let mut c = [F32x8::default(); 8];
-        for (q, cq) in c.iter_mut().enumerate() {
-            *cq = F32x8::load(&out_row[j + q * LANES..]);
-        }
-        for kk in k0..k1 {
-            let av = F32x8::splat(a_at(kk));
-            let r: &[f32; JW] = b[kk * n + j..kk * n + j + JW].try_into().unwrap();
-            c[0].mul_add_assign(av, F32x8::load(&r[0..]));
-            c[1].mul_add_assign(av, F32x8::load(&r[LANES..]));
-            c[2].mul_add_assign(av, F32x8::load(&r[2 * LANES..]));
-            c[3].mul_add_assign(av, F32x8::load(&r[3 * LANES..]));
-            c[4].mul_add_assign(av, F32x8::load(&r[4 * LANES..]));
-            c[5].mul_add_assign(av, F32x8::load(&r[5 * LANES..]));
-            c[6].mul_add_assign(av, F32x8::load(&r[6 * LANES..]));
-            c[7].mul_add_assign(av, F32x8::load(&r[7 * LANES..]));
-        }
-        for (q, cq) in c.iter().enumerate() {
-            cq.store(&mut out_row[j + q * LANES..]);
-        }
+        simd_cols::<8>(rows, depth, &a_at, b, n, j, j + JW, out);
         j += JW;
     }
-    while j + LANES <= n {
-        let mut c = F32x8::load(&out_row[j..]);
-        for kk in k0..k1 {
-            c.mul_add_assign(F32x8::splat(a_at(kk)), F32x8::load(&b[kk * n + j..]));
-        }
-        c.store(&mut out_row[j..]);
-        j += LANES;
+    // The accumulator count is a const parameter so the accumulators
+    // are registers, not an indexed stack array.
+    match (n - j).div_ceil(LANES) {
+        0 => {}
+        1 => simd_cols::<1>(rows, depth, &a_at, b, n, j, n, out),
+        2 => simd_cols::<2>(rows, depth, &a_at, b, n, j, n, out),
+        3 => simd_cols::<3>(rows, depth, &a_at, b, n, j, n, out),
+        4 => simd_cols::<4>(rows, depth, &a_at, b, n, j, n, out),
+        5 => simd_cols::<5>(rows, depth, &a_at, b, n, j, n, out),
+        6 => simd_cols::<6>(rows, depth, &a_at, b, n, j, n, out),
+        7 => simd_cols::<7>(rows, depth, &a_at, b, n, j, n, out),
+        _ => simd_cols::<8>(rows, depth, &a_at, b, n, j, n, out),
     }
-    while j < n {
-        let mut acc = out_row[j];
-        for kk in k0..k1 {
-            acc += a_at(kk) * b[kk * n + j];
+}
+
+/// One column block of [`simd_rows`]: columns `j..end` (`end − j ≤ 64`,
+/// `end ≥ 8`) of every row under `Q = ⌈(end−j)/8⌉` accumulators, held
+/// in registers across a `KC`-deep `k` sweep so the output is loaded
+/// and stored once per sweep while they advance through `k` together.
+/// Accumulators `0..Q−1` sit at `j, j+8, …`; the last one is loaded at
+/// columns `end−8..end`, so when the width is not a multiple of 8 it
+/// *overlaps* its left neighbour (or, when fewer than 8 columns remain
+/// behind a 64-block, columns that block already finished). An
+/// overlapped lane is harmless to compute — lanes are independent —
+/// but what it holds is either a duplicate of its neighbour's lane or
+/// a double count of this sweep, so only the lanes from column
+/// `j + 8(Q−1)` on are stored: every output element is written by
+/// exactly one lane, which saw exactly the scalar multiply-then-add
+/// sequence.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn simd_cols<const Q: usize>(
+    rows: usize,
+    depth: usize,
+    a_at: &impl Fn(usize, usize) -> f32,
+    b: &[f32],
+    n: usize,
+    j: usize,
+    end: usize,
+    out: &mut [f32],
+) {
+    let own = j + (Q - 1) * LANES; // first column only the last accumulator covers
+    let lo = j.min(end - LANES);
+    let w = end - lo;
+    for i in 0..rows {
+        let out_row = &mut out[i * n + lo..i * n + end];
+        for k0 in (0..depth).step_by(KC) {
+            let mut c = [F32x8::default(); Q];
+            for (q, cq) in c[..Q - 1].iter_mut().enumerate() {
+                *cq = F32x8::load(&out_row[q * LANES..]);
+            }
+            c[Q - 1] = F32x8::load(&out_row[w - LANES..]);
+            for kk in k0..(k0 + KC).min(depth) {
+                let av = F32x8::splat(a_at(i, kk));
+                // One window per `B` row, then constant offsets into a
+                // constant-length head: the bounds checks fold away.
+                let r = &b[kk * n + lo..kk * n + end];
+                let head = &r[..(Q - 1) * LANES];
+                for (q, cq) in c[..Q - 1].iter_mut().enumerate() {
+                    cq.mul_add_assign(av, F32x8::load(&head[q * LANES..]));
+                }
+                c[Q - 1].mul_add_assign(av, F32x8::load(&r[w - LANES..]));
+            }
+            for (q, cq) in c[..Q - 1].iter().enumerate() {
+                cq.store(&mut out_row[q * LANES..]);
+            }
+            let mut lanes = [0.0f32; LANES];
+            c[Q - 1].store(&mut lanes);
+            out_row[own - lo..].copy_from_slice(&lanes[LANES - (end - own)..]);
         }
-        out_row[j] = acc;
-        j += 1;
     }
 }
 
@@ -274,14 +323,7 @@ fn simd_row(
 /// instantiation site (see [`avx2_available`]).
 #[inline(always)]
 fn simd_nn_body(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let out_row = &mut out[i * n..(i + 1) * n];
-        for kb in (0..k).step_by(KC) {
-            let kend = (kb + KC).min(k);
-            simd_row(kb, kend, |kk| a_row[kk], b, n, out_row);
-        }
-    }
+    simd_rows(m, k, |i, kk| a[i * k + kk], b, n, out);
 }
 
 /// [`simd_nn_body`] compiled with AVX2 enabled, regardless of the
@@ -297,7 +339,7 @@ unsafe fn simd_nn_avx2(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: 
 }
 
 /// The serial 8-wide `C += A·B` kernel every `nn`-shaped dispatcher (and
-/// each of its pool bands and batched blocks) runs. Bit-identical to
+/// each of its pool bands) runs. Bit-identical to
 /// [`naive_nn`] for every shape (see the module docs on why lanes
 /// preserve the per-element accumulation order). Callers have checked
 /// the slice lengths.
@@ -325,13 +367,7 @@ fn simd_tn_cols_body(
     i1: usize,
     out: &mut [f32],
 ) {
-    for i in i0..i1 {
-        let out_row = &mut out[(i - i0) * n..(i - i0 + 1) * n];
-        for kb in (0..ra).step_by(KC) {
-            let kend = (kb + KC).min(ra);
-            simd_row(kb, kend, |kk| a[kk * ca + i], b, n, out_row);
-        }
-    }
+    simd_rows(i1 - i0, ra, |i, kk| a[kk * ca + i0 + i], b, n, out);
 }
 
 /// [`simd_tn_cols_body`] compiled with AVX2 enabled.
@@ -400,17 +436,9 @@ fn transpose_into(rows: usize, cols: usize, src: &[f32], dst: &mut [f32]) {
 /// Panics if a slice length does not match its shape.
 pub fn nn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
     check(m, k, n, a, b, out, "nn");
-    nn_dispatch(m, k, n, a, b, out, true);
-}
-
-/// The [`nn`] dispatch body; `tally` lets [`concat_nn`] reuse it while
-/// counting the call under `batched` only.
-fn nn_dispatch(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32], tally: bool) {
     let t = pool::threads();
     if t > 1 && m >= 2 && work(m, k, n) >= PAR_MIN_WORK {
-        if tally {
-            HITS_BANDED.fetch_add(1, Ordering::Relaxed);
-        }
+        HITS_BANDED.fetch_add(1, Ordering::Relaxed);
         let band_rows = m.div_ceil(t.min(m));
         let tasks: Vec<pool::ScopedTask<'_>> = out
             .chunks_mut(band_rows * n)
@@ -424,78 +452,8 @@ fn nn_dispatch(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f3
             .collect();
         pool::join_all(tasks);
     } else {
-        if tally {
-            HITS_SIMD.fetch_add(1, Ordering::Relaxed);
-        }
+        HITS_SIMD.fetch_add(1, Ordering::Relaxed);
         simd_nn(m, k, n, a, b, out);
-    }
-}
-
-/// Fused multi-model product `C += A·[B₀ | B₁ | … ]`: one shared left
-/// operand against `nb` horizontally-concatenated `k×(n/nb)` right
-/// operands (the caller packs them; `n` is the concatenated width).
-/// Mathematically this *is* [`nn`] — column `j` of `C` depends only on
-/// column `j` of the concatenated `B`, accumulated in the same
-/// ascending-`k` order as a per-model call — so per-model slices of the
-/// output are bit-identical to `nb` separate [`nn`] calls. The point of
-/// the separate entry is amortisation (the `A` traversal, cache traffic
-/// and pool hand-off are paid once for all models) and attribution:
-/// calls tally under `batched` in [`dispatch_counts`], not under the
-/// serial/banded counters.
-///
-/// # Panics
-///
-/// Panics if a slice length does not match its shape.
-pub fn concat_nn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    check(m, k, n, a, b, out, "concat_nn");
-    HITS_BATCHED.fetch_add(1, Ordering::Relaxed);
-    nn_dispatch(m, k, n, a, b, out, false);
-}
-
-/// Block-diagonal multi-model product: `nb` independent `C_i += A_i·B_i`
-/// products (`A_i` is `m×k`, `B_i` is `k×n`), with all `A_i`, `B_i` and
-/// `C_i` laid out contiguously in their respective slices. Each block
-/// is computed by the serial kernel in the same per-element
-/// accumulation order as a standalone [`nn`] call, so every block is
-/// bit-identical to its sequential counterpart; blocks are fanned out
-/// across the worker pool when the total work clears the parallel
-/// threshold (blocks touch disjoint output rows).
-/// Tallies under `batched` in [`dispatch_counts`].
-///
-/// # Panics
-///
-/// Panics if a slice length does not match its shape.
-pub fn batched_nn(nb: usize, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    assert_eq!(a.len(), nb * m * k, "gemm::batched_nn: A is not {nb}·{m}x{k}");
-    assert_eq!(b.len(), nb * k * n, "gemm::batched_nn: B is not {nb}·{k}x{n}");
-    assert_eq!(out.len(), nb * m * n, "gemm::batched_nn: C is not {nb}·{m}x{n}");
-    HITS_BATCHED.fetch_add(1, Ordering::Relaxed);
-    if nb == 0 || m * n == 0 {
-        return;
-    }
-    let t = pool::threads();
-    if t > 1 && nb >= 2 && work(m, k, n).saturating_mul(nb) >= PAR_MIN_WORK {
-        let tasks: Vec<pool::ScopedTask<'_>> = out
-            .chunks_mut(m * n)
-            .enumerate()
-            .map(|(bi, chunk)| {
-                let a_blk = &a[bi * m * k..(bi + 1) * m * k];
-                let b_blk = &b[bi * k * n..(bi + 1) * k * n];
-                Box::new(move || simd_nn(m, k, n, a_blk, b_blk, chunk)) as pool::ScopedTask<'_>
-            })
-            .collect();
-        pool::join_all(tasks);
-    } else {
-        for bi in 0..nb {
-            simd_nn(
-                m,
-                k,
-                n,
-                &a[bi * m * k..(bi + 1) * m * k],
-                &b[bi * k * n..(bi + 1) * k * n],
-                &mut out[bi * m * n..(bi + 1) * m * n],
-            );
-        }
     }
 }
 
@@ -612,17 +570,31 @@ mod tests {
         (150, 70, 130),
     ];
 
+    /// `(n, k)` pairs around every edge of `simd_rows`: each accumulator
+    /// count of the remainder block with and without an overlapped last
+    /// accumulator, a remainder of fewer than 8 columns behind a
+    /// 64-block (`n` = 65..71), the scalar `n < 8` loop, and depths on
+    /// both sides of the `KC` sweep boundary. The tests below accumulate
+    /// into a non-zero `C`, so a lane stored twice, or a sweep counted
+    /// twice, fails bitwise.
+    fn edge_shapes() -> impl Iterator<Item = (usize, usize)> {
+        let ns = (1..=72).chain([95, 96, 97, 126, 127, 129, 135]);
+        ns.flat_map(|n| [1, KC - 1, KC, KC + 1, 2 * KC + 37].map(move |k| (n, k)))
+    }
+
     #[test]
     fn kernel_and_dispatched_nn_match_naive_exactly() {
-        for &(m, k, n) in SHAPES {
+        let shapes = SHAPES.iter().copied().chain(edge_shapes().map(|(n, k)| (3, k, n)));
+        for (m, k, n) in shapes {
             let a = fill(m * k, 1);
             let b = fill(k * n, 2);
-            let mut want = vec![0.0f32; m * n];
+            let c0 = fill(m * n, 24);
+            let mut want = c0.clone();
             naive_nn(m, k, n, &a, &b, &mut want);
-            let mut got = vec![0.0f32; m * n];
+            let mut got = c0.clone();
             simd_nn(m, k, n, &a, &b, &mut got);
             assert_bits_eq(&want, &got, &format!("simd_nn {m}x{k}x{n}"));
-            let mut got = vec![0.0f32; m * n];
+            let mut got = c0;
             nn(m, k, n, &a, &b, &mut got);
             assert_bits_eq(&want, &got, &format!("nn {m}x{k}x{n}"));
         }
@@ -630,15 +602,17 @@ mod tests {
 
     #[test]
     fn kernel_and_dispatched_tn_match_naive_exactly() {
-        for &(ra, ca, n) in SHAPES {
+        let shapes = SHAPES.iter().copied().chain(edge_shapes().map(|(n, k)| (k, 3, n)));
+        for (ra, ca, n) in shapes {
             let a = fill(ra * ca, 3);
             let b = fill(ra * n, 4);
-            let mut want = vec![0.0f32; ca * n];
+            let c0 = fill(ca * n, 25);
+            let mut want = c0.clone();
             naive_tn(ra, ca, n, &a, &b, &mut want);
-            let mut got = vec![0.0f32; ca * n];
+            let mut got = c0.clone();
             simd_tn_cols(ra, ca, n, &a, &b, 0, ca, &mut got);
             assert_bits_eq(&want, &got, &format!("simd_tn_cols {ra}x{ca}x{n}"));
-            let mut got = vec![0.0f32; ca * n];
+            let mut got = c0;
             tn(ra, ca, n, &a, &b, &mut got);
             assert_bits_eq(&want, &got, &format!("tn {ra}x{ca}x{n}"));
         }
@@ -646,47 +620,47 @@ mod tests {
 
     #[test]
     fn dispatched_nt_matches_naive_exactly() {
-        for &(m, k, n) in SHAPES {
+        // Enough rows that every edge shape takes the packed path into
+        // the kernel rather than the direct dot-product loop.
+        let packed = |(n, k): (usize, usize)| (NT_PACK_MIN_WORK.div_ceil(k * n).max(3), k, n);
+        for (m, k, n) in SHAPES.iter().copied().chain(edge_shapes().map(packed)) {
             let a = fill(m * k, 5);
             let b = fill(n * k, 6);
-            let mut want = vec![0.0f32; m * n];
+            let mut want = fill(m * n, 26);
+            let mut got = want.clone();
             naive_nt(m, k, n, &a, &b, &mut want);
-            let mut got = vec![0.0f32; m * n];
             nt(m, k, n, &a, &b, &mut got);
             assert_bits_eq(&want, &got, &format!("nt {m}x{k}x{n}"));
         }
     }
 
     /// On an AVX2 host the dispatchers never execute the baseline-ISA
-    /// instantiations, so they are called directly here: column counts
-    /// on both sides of the 64-wide, 8-wide and scalar loops of
-    /// `simd_row`, depths on both sides of the `KC` sweep boundary, and
-    /// for `tn` a band that starts and ends inside the output.
+    /// instantiations, so they are called directly here over the same
+    /// edge shapes, and for `tn` also over a band that starts and ends
+    /// inside the output.
     #[test]
     fn baseline_isa_bodies_match_naive_exactly() {
-        for &n in &[1usize, 7, 8, 10, 62, 64, 96, 130] {
-            for &k in &[1usize, KC - 1, KC, KC + 1, 2 * KC + 37] {
-                let m = 3;
-                let a = fill(m * k, 14);
-                let b = fill(k * n, 15);
-                let mut want = fill(m * n, 16);
-                let mut got = want.clone();
-                naive_nn(m, k, n, &a, &b, &mut want);
-                simd_nn_body(m, k, n, &a, &b, &mut got);
-                assert_bits_eq(&want, &got, &format!("simd_nn_body {m}x{k}x{n}"));
+        for (n, k) in edge_shapes() {
+            let m = 3;
+            let a = fill(m * k, 14);
+            let b = fill(k * n, 15);
+            let mut want = fill(m * n, 16);
+            let mut got = want.clone();
+            naive_nn(m, k, n, &a, &b, &mut want);
+            simd_nn_body(m, k, n, &a, &b, &mut got);
+            assert_bits_eq(&want, &got, &format!("simd_nn_body {m}x{k}x{n}"));
 
-                // Aᵀ·B with A = k×5: the full product, then rows 1..4 of it.
-                let ca = 5;
-                let a = fill(k * ca, 17);
-                let mut want = fill(ca * n, 18);
-                let mut got = want.clone();
-                naive_tn(k, ca, n, &a, &b, &mut want);
-                simd_tn_cols_body(k, ca, n, &a, &b, 0, ca, &mut got);
-                assert_bits_eq(&want, &got, &format!("simd_tn_cols_body {k}x{ca}x{n}"));
-                let mut band = fill(ca * n, 18)[n..4 * n].to_vec();
-                simd_tn_cols_body(k, ca, n, &a, &b, 1, 4, &mut band);
-                assert_bits_eq(&want[n..4 * n], &band, &format!("tn band {k}x{ca}x{n}"));
-            }
+            // Aᵀ·B with A = k×5: the full product, then rows 1..4 of it.
+            let ca = 5;
+            let a = fill(k * ca, 17);
+            let mut want = fill(ca * n, 18);
+            let mut got = want.clone();
+            naive_tn(k, ca, n, &a, &b, &mut want);
+            simd_tn_cols_body(k, ca, n, &a, &b, 0, ca, &mut got);
+            assert_bits_eq(&want, &got, &format!("simd_tn_cols_body {k}x{ca}x{n}"));
+            let mut band = fill(ca * n, 18)[n..4 * n].to_vec();
+            simd_tn_cols_body(k, ca, n, &a, &b, 1, 4, &mut band);
+            assert_bits_eq(&want[n..4 * n], &band, &format!("tn band {k}x{ca}x{n}"));
         }
     }
 
@@ -764,7 +738,7 @@ mod tests {
         nt(m, k, n, &a, &b, &mut out); // `b` read as the n×k operand
         let tiny_nt = dispatch_counts();
         assert!(tiny_nt.blocked > after.blocked, "tiny nt not counted");
-        assert_eq!(tiny_nt.fma, 0);
+        assert_eq!((tiny_nt.batched, tiny_nt.fma), (0, 0), "no path tallies here any more");
 
         let (m, k, n) = (64, 64, 1024); // m·k·n = 2^22 ≥ PAR_MIN_WORK
         let a = fill(m * k, 22);
@@ -777,90 +751,5 @@ mod tests {
         } else {
             assert!(banded.simd > tiny_nt.simd);
         }
-    }
-
-    #[test]
-    fn concat_nn_matches_per_model_products() {
-        let (nb, m, k, ne) = (3usize, 7usize, 9usize, 11usize);
-        let a = fill(m * k, 40);
-        let bs: Vec<Vec<f32>> = (0..nb).map(|bi| fill(k * ne, 41 + bi as u64)).collect();
-        // Pack the per-model B's side by side: row kk of the wide B is
-        // [B₀[kk] | B₁[kk] | B₂[kk]].
-        let n = nb * ne;
-        let mut wide = vec![0.0f32; k * n];
-        for kk in 0..k {
-            for (bi, bm) in bs.iter().enumerate() {
-                wide[kk * n + bi * ne..kk * n + (bi + 1) * ne]
-                    .copy_from_slice(&bm[kk * ne..(kk + 1) * ne]);
-            }
-        }
-        let mut got = vec![0.0f32; m * n];
-        concat_nn(m, k, n, &a, &wide, &mut got);
-        for (bi, bm) in bs.iter().enumerate() {
-            let mut want = vec![0.0f32; m * ne];
-            nn(m, k, ne, &a, bm, &mut want);
-            for i in 0..m {
-                for j in 0..ne {
-                    assert_eq!(
-                        got[i * n + bi * ne + j].to_bits(),
-                        want[i * ne + j].to_bits(),
-                        "concat_nn model {bi} elem ({i},{j})"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batched_nn_blocks_match_standalone_products_exactly() {
-        for &(nb, m, k, n) in &[(1usize, 5usize, 9usize, 11usize), (4, 33, 17, 40), (3, 1, 7, 1)] {
-            let a = fill(nb * m * k, 50);
-            let b = fill(nb * k * n, 51);
-            let c0 = fill(nb * m * n, 52);
-            let mut got = c0.clone();
-            batched_nn(nb, m, k, n, &a, &b, &mut got);
-            for bi in 0..nb {
-                let mut want = c0[bi * m * n..(bi + 1) * m * n].to_vec();
-                nn(
-                    m,
-                    k,
-                    n,
-                    &a[bi * m * k..(bi + 1) * m * k],
-                    &b[bi * k * n..(bi + 1) * k * n],
-                    &mut want,
-                );
-                assert_bits_eq(
-                    &want,
-                    &got[bi * m * n..(bi + 1) * m * n],
-                    &format!("batched_nn block {bi}"),
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batched_nn_handles_degenerate_shapes() {
-        let mut out = vec![0.0f32; 0];
-        batched_nn(0, 3, 4, 5, &[], &[], &mut out);
-        batched_nn(2, 0, 4, 5, &[], &fill(2 * 4 * 5, 1), &mut out);
-        let mut out = vec![1.25f32; 2 * 3 * 2];
-        batched_nn(2, 3, 0, 2, &[], &[], &mut out);
-        assert_eq!(out, vec![1.25f32; 12], "k = 0 blocks leave C untouched");
-    }
-
-    #[test]
-    fn batched_entry_points_tally_under_batched() {
-        let before = dispatch_counts();
-        let (m, k, ne) = (4, 6, 5);
-        let a = fill(m * k, 60);
-        let wide = fill(k * ne * 2, 61);
-        let mut out = vec![0.0f32; m * ne * 2];
-        concat_nn(m, k, ne * 2, &a, &wide, &mut out);
-        let b = fill(2 * k * ne, 62);
-        let a2 = fill(2 * m * k, 63);
-        let mut out = vec![0.0f32; 2 * m * ne];
-        batched_nn(2, m, k, ne, &a2, &b, &mut out);
-        let after = dispatch_counts();
-        assert!(after.batched >= before.batched + 2, "batched calls not tallied");
     }
 }

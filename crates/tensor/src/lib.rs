@@ -37,4 +37,4 @@ pub mod pool;
 pub mod rng;
 pub mod simd;
 
-pub use matrix::{Matrix, MatrixView, Workspace};
+pub use matrix::{Matrix, MatrixView};

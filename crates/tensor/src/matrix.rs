@@ -503,66 +503,6 @@ impl Matrix {
     }
 }
 
-/// A pool of reusable scratch buffers for allocation-free hot loops.
-///
-/// Callers [`Workspace::take`] a matrix of the shape they need (its
-/// contents are unspecified) and [`Workspace::recycle`] it when done;
-/// once the pool has seen the loop's peak shapes, every subsequent
-/// take/recycle cycle is allocation-free. Unlike keeping named scratch
-/// fields, a workspace handles a *variable* number of simultaneous
-/// buffers (e.g. per-layer activations of differing widths).
-///
-/// # Example
-///
-/// ```
-/// use baffle_tensor::{Matrix, Workspace};
-///
-/// let mut ws = Workspace::new();
-/// let a = Matrix::from_fn(4, 3, |r, c| (r + c) as f32);
-/// let mut out = ws.take(4, 4);
-/// a.matmul_nt_into(&a, &mut out);
-/// ws.recycle(out); // the buffer is reused by the next take
-/// assert_eq!(ws.pooled(), 1);
-/// ```
-#[derive(Debug, Default)]
-pub struct Workspace {
-    free: Vec<Vec<f32>>,
-}
-
-impl Workspace {
-    /// Creates an empty workspace (no buffers pooled yet).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Hands out a `rows × cols` matrix with **unspecified contents**,
-    /// reusing a pooled buffer when one is available (allocation-free
-    /// whenever the reused buffer's capacity suffices).
-    pub fn take(&mut self, rows: usize, cols: usize) -> Matrix {
-        let mut data = self.free.pop().unwrap_or_default();
-        data.resize(rows * cols, 0.0);
-        Matrix { rows, cols, data }
-    }
-
-    /// As [`Workspace::take`], but zero-filled — for buffers a kernel
-    /// accumulates into rather than overwrites.
-    pub fn take_zeroed(&mut self, rows: usize, cols: usize) -> Matrix {
-        let mut m = self.take(rows, cols);
-        m.data.fill(0.0);
-        m
-    }
-
-    /// Returns a buffer to the pool for a later [`Workspace::take`].
-    pub fn recycle(&mut self, m: Matrix) {
-        self.free.push(m.data);
-    }
-
-    /// Number of buffers currently pooled.
-    pub fn pooled(&self) -> usize {
-        self.free.len()
-    }
-}
-
 /// A borrowed, row-major view of a contiguous row range of a
 /// [`Matrix`] (see [`Matrix::view_rows`]). Supports exactly the
 /// operations the evaluation hot path needs — products and row access —
@@ -920,17 +860,5 @@ mod tests {
         let b = Matrix::zeros(2, 3);
         let mut out = Matrix::default();
         a.matmul_into(&b, &mut out);
-    }
-
-    #[test]
-    fn workspace_recycles_buffers() {
-        let mut ws = Workspace::new();
-        let m = ws.take(4, 4);
-        let ptr = m.as_slice().as_ptr();
-        ws.recycle(m);
-        assert_eq!(ws.pooled(), 1);
-        let m2 = ws.take_zeroed(2, 2);
-        assert_eq!(m2.as_slice().as_ptr(), ptr, "take must reuse the recycled buffer");
-        assert!(m2.as_slice().iter().all(|&x| x == 0.0));
     }
 }

@@ -206,30 +206,4 @@ proptest! {
             prop_assert_eq!(x.to_bits(), y.to_bits());
         }
     }
-
-    /// Fused batched blocks ≡ standalone `nn` calls, bitwise — each
-    /// block runs the same serial kernel over the same data.
-    #[test]
-    fn batched_nn_blocks_match_standalone(
-        nb in 1usize..=4,
-        (m, k, n) in (1usize..=12, 1usize..=12, 1usize..=12),
-        seed in any::<u64>(),
-    ) {
-        let mut s = seed | 1;
-        let mut next = move || {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((s >> 33) as i32 % 2001 - 1000) as f32 / 100.0
-        };
-        let a: Vec<f32> = (0..nb * m * k).map(|_| next()).collect();
-        let b: Vec<f32> = (0..nb * k * n).map(|_| next()).collect();
-        let mut got = vec![0.0f32; nb * m * n];
-        gemm::batched_nn(nb, m, k, n, &a, &b, &mut got);
-        for bi in 0..nb {
-            let mut want = vec![0.0f32; m * n];
-            gemm::nn(m, k, n, &a[bi * m * k..(bi + 1) * m * k], &b[bi * k * n..(bi + 1) * k * n], &mut want);
-            for (x, y) in got[bi * m * n..(bi + 1) * m * n].iter().zip(&want) {
-                prop_assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-    }
 }
