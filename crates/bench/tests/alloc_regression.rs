@@ -13,6 +13,8 @@
 //! grown once and reused. This test pins that at exactly **zero**
 //! allocations per step so any future `clone()`/`collect()` sneaking
 //! back into the hot path fails CI instead of quietly costing 20%.
+//! The same buffers are workspace, not value: cloning a warm model must
+//! request about `4·num_params` bytes, not the workspace's size.
 //!
 //! Kept to a single `#[test]` so no concurrent test can pollute the
 //! process-wide counters.
@@ -20,7 +22,7 @@
 #![cfg(feature = "alloc-probe")]
 
 use baffle_bench::alloc_probe;
-use baffle_nn::{Mlp, MlpSpec, Sgd};
+use baffle_nn::{Mlp, MlpSpec, Model, Sgd};
 use baffle_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -69,5 +71,31 @@ fn warm_mlp_training_makes_zero_allocations() {
         per_epoch.allocs, 0,
         "warm train_epoch allocated {} times ({} bytes) over 3 epochs",
         per_epoch.allocs, per_epoch.bytes
+    );
+
+    // A clone is the parameters. An epoch over 5 000 rows leaves ~100 KB
+    // of order/staging/cache buffers in the model (a history entry in
+    // `baffle-net` is cloned from exactly such a warm-started model);
+    // none of it may ride along, and the original must keep its workspace.
+    let big = 5_000;
+    let xl = Matrix::from_fn(big, 16, |i, j| ((i * 16 + j) as f32 * 0.11).cos());
+    let yl: Vec<usize> = (0..big).map(|i| i % 4).collect();
+    model.train_epoch(&xl, &yl, 16, &mut opt, &mut rng);
+    let (copy, per_clone) = alloc_probe::measure(|| model.clone());
+    let budget = 4 * model.num_params() as u64 + 2_048;
+    assert!(
+        per_clone.bytes <= budget,
+        "cloning a warm Mlp requested {} bytes for {} parameters (budget {budget})",
+        per_clone.bytes,
+        model.num_params()
+    );
+    assert_eq!(copy.params(), model.params());
+    let (_, after_clone) = alloc_probe::measure(|| {
+        model.train_epoch(&xl, &yl, 16, &mut opt, &mut rng);
+    });
+    assert_eq!(
+        after_clone.allocs, 0,
+        "cloning cost the original its workspace: the next epoch allocated {} times ({} bytes)",
+        after_clone.allocs, after_clone.bytes
     );
 }

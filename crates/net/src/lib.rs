@@ -50,9 +50,14 @@
 //!
 //! let config = DeploymentConfig::small(3);
 //! let outcome = Deployment::run(config);
+//! // What holds for every seed: all six rounds ran to completion over a
+//! // healthy transport, each with its four sampled updates. Whether the
+//! // one attacker is sampled after the bootstrap rounds — and so whether
+//! // a round is rejected — depends on the seed; the tests that force the
+//! // attacker into the contributor set assert the rejection.
 //! assert_eq!(outcome.rounds.len(), 6);
-//! // The scripted injection was rejected by the quorum.
-//! assert!(outcome.rounds.iter().any(|r| !r.accepted));
+//! assert!(outcome.rounds.iter().all(|r| !r.transport_lost && r.updates_received == 4));
+//! assert!(outcome.final_main_accuracy.is_finite() && outcome.final_backdoor_accuracy.is_finite());
 //! ```
 
 pub mod client;

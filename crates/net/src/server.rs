@@ -535,6 +535,11 @@ impl Server {
     }
 
     /// Runs one full protocol round and returns what happened.
+    ///
+    /// With `server_votes`, the server casts its own vote between sending
+    /// the `ValidateRequest`s and waiting for the answers: the evaluation
+    /// overlaps the validators' instead of extending the vote phase, and
+    /// since votes are an order-free count the outcome is unchanged.
     pub fn run_round(&mut self) -> ServerRound {
         self.round += 1;
         let round = self.round;
@@ -631,6 +636,19 @@ impl Server {
                 },
             );
         }
+        // The server's own verdict needs only the candidate, the trusted
+        // history and its holdout, so it is computed while the validators
+        // work rather than after the last of them has answered.
+        let own = self.config.server_votes.then(|| {
+            self.engine
+                .validate_batched(
+                    &candidate,
+                    self.history.ids(),
+                    self.history.models(),
+                    &self.server_data,
+                )
+                .map_or(Vote::Accept, |verdict| verdict.vote())
+        });
         let outcome = self.collect_votes(round, &validators);
         let VotePhase { mut votes, tally: vote_tally, heard, gapped } = outcome;
         for &v in &validators {
@@ -648,19 +666,7 @@ impl Server {
             // Silent validators stay unacknowledged: the shipment is
             // treated as lost and re-sent at their next selection.
         }
-        if self.config.server_votes {
-            let outcome = self.engine.validate_batched(
-                &candidate,
-                self.history.ids(),
-                self.history.models(),
-                &self.server_data,
-            );
-            let own = match outcome {
-                Ok(verdict) => verdict.vote(),
-                Err(_) => Vote::Accept,
-            };
-            votes.push(own);
-        }
+        votes.extend(own);
         let reject_votes = votes.iter().filter(|v| matches!(v, Vote::Reject)).count();
         let voters = validators.len() + usize::from(self.config.server_votes);
         let effective_quorum = self.config.quorum.min(voters.max(1));

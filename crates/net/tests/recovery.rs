@@ -15,10 +15,12 @@
 //!   gapped delta that would cost it a `HistoryTooShort` round-trip.
 //! - **Transport loss**: a dead receive channel is surfaced as
 //!   `transport_lost`, not mistaken for harmless stragglers.
+//! - **The server's own vote**: cast before the wait for the validators,
+//!   it alone decides a round in which no validator is reachable.
 
-use baffle_core::{ValidationConfig, Validator, Vote};
+use baffle_core::{ModelHistory, ValidationConfig, ValidationEngine, Validator, Vote};
 use baffle_data::Dataset;
-use baffle_fl::{sampling, FlConfig, WireProfile};
+use baffle_fl::{fedavg, sampling, FlConfig, WireProfile};
 use baffle_net::deployment::{Deployment, DeploymentConfig, DeploymentParts};
 use baffle_net::fault::{FaultEvent, FaultPlan};
 use baffle_net::message::{AbstainReason, Message, NodeId};
@@ -26,6 +28,7 @@ use baffle_net::server::{Server, ServerConfig, ServerRound};
 use baffle_net::transport::{Endpoint, Network};
 use baffle_nn::{wire, Mlp, MlpSpec, Model};
 use baffle_tensor::rng::derive_stream;
+use baffle_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Mutex;
@@ -320,6 +323,141 @@ fn evicted_sync_point_gets_one_full_window_reship() {
     assert!(rounds.iter().all(|r| r.abstentions == 0), "no HistoryTooShort round-trips");
     assert!(rounds.iter().all(|r| r.votes_received == 2));
     assert!(rounds.iter().all(|r| r.accepted));
+}
+
+/// What scripted client `client` submits in `round` of the server-vote
+/// test: a small drift of the decision boundary for `round < flip_round`,
+/// then an update that turns the classifier upside down.
+fn scripted_update(round: u64, client: usize, flip_round: u64) -> Vec<f32> {
+    if round == flip_round {
+        return vec![-3.0, 3.0, 0.0, 0.0, 0.0, 0.0];
+    }
+    let drift = 0.05 * ((round * 3 + client as u64) as f32 * 0.9).sin();
+    vec![0.0, 0.0, 0.0, 0.0, drift, -drift]
+}
+
+/// `server_votes: true` with every `ValidateRequest` lost: the server's
+/// own verdict — computed before it starts waiting, from the candidate,
+/// the trusted history and its holdout alone — is the only vote, and
+/// with quorum 1 it decides the round. The wait itself is the plain
+/// phase timeout. Each round is checked against a stand-alone
+/// [`ValidationEngine`] fed the same candidate and window.
+#[test]
+fn server_vote_alone_decides_a_round_no_validator_hears_about() {
+    const ROUNDS: u64 = 9;
+    const WINDOW: usize = 5;
+    let timeout = Duration::from_millis(150);
+    let plan = FaultPlan::lossless(0).event(FaultEvent::DropKind {
+        to: None,
+        rounds: 1..=ROUNDS,
+        kind: "validate-request",
+    });
+    let network = Network::with_faults(plan);
+
+    // Two classes split at x₀ = 0 with a thin band of near-boundary
+    // points, so the honest drift flips a few predictions per round.
+    let n = 200;
+    let x = Matrix::from_fn(n, 2, |i, j| {
+        let side = if i % 2 == 0 { 1.0 } else { -1.0 };
+        if j == 0 {
+            side * (0.01 + (i / 2) as f32 * 0.02)
+        } else {
+            (i as f32 * 0.37).sin()
+        }
+    });
+    let holdout = Dataset::new(x, (0..n).map(|i| i % 2).collect(), 2);
+    let mut initial = tiny_model(3);
+    initial.set_params(&[1.0, -1.0, 0.0, 0.0, 0.0, 0.0]);
+
+    let fl = FlConfig::new(NUM_CLIENTS, NUM_CLIENTS);
+    let validator = Validator::new(ValidationConfig::new(3));
+    let config = ServerConfig {
+        fl: fl.clone(),
+        validators_per_round: NUM_CLIENTS,
+        quorum: 1,
+        phase_timeout: timeout,
+        server_votes: true,
+        seed: 7,
+        bootstrap_rounds: 0,
+        bootstrap_trusted: Vec::new(),
+        wire: WireProfile::lossless(),
+    };
+    let mut server = Server::new(
+        network.register(NodeId::SERVER),
+        config,
+        initial.clone(),
+        WINDOW,
+        validator,
+        holdout.clone(),
+    );
+
+    let rounds = crossbeam::thread::scope(|scope| {
+        for c in 0..NUM_CLIENTS {
+            let endpoint = network.register(NodeId(c as u32));
+            scope.spawn(move |_| {
+                while let Ok(env) = endpoint.recv() {
+                    match env.message {
+                        Message::TrainRequest { round, .. } => endpoint.send(
+                            NodeId::SERVER,
+                            Message::UpdateSubmission {
+                                round,
+                                from: endpoint.id(),
+                                update: wire::encode_f32(&scripted_update(round, c, ROUNDS)),
+                            },
+                        ),
+                        Message::ValidateRequest { .. } => {
+                            panic!("the drop filter must eat every ValidateRequest")
+                        }
+                        Message::Shutdown => break,
+                        _ => {}
+                    }
+                }
+            });
+        }
+        let mut rounds = Vec::new();
+        for r in 1..=ROUNDS {
+            network.begin_round(r);
+            rounds.push(server.run_round());
+        }
+        server.shutdown();
+        rounds
+    })
+    .expect("client thread panicked");
+
+    // Mirror the server's trusted state and ask a fresh engine each round.
+    let mut engine = ValidationEngine::new(validator);
+    let mut history = ModelHistory::new(WINDOW);
+    history.push(initial.clone());
+    let mut global = initial;
+    let mut real_verdicts = 0;
+    for (r, round) in (1..=ROUNDS).zip(&rounds) {
+        let updates: Vec<Vec<f32>> =
+            (0..NUM_CLIENTS).map(|c| scripted_update(r, c, ROUNDS)).collect();
+        let mut candidate = global.clone();
+        candidate.set_params(&fedavg(&global.params(), &updates, fl.global_lr(), NUM_CLIENTS));
+        let verdict =
+            engine.validate_batched(&candidate, history.ids(), history.models(), &holdout);
+        real_verdicts += usize::from(verdict.is_ok());
+        let expected = verdict.map_or(Vote::Accept, |v| v.vote());
+
+        assert_eq!(round.updates_received, NUM_CLIENTS, "round {r}");
+        assert_eq!(round.votes_received, 0, "round {r}: no validator can have voted");
+        assert_eq!(round.reject_votes, usize::from(expected == Vote::Reject), "round {r}");
+        assert_eq!(round.accepted, expected == Vote::Accept, "round {r}");
+        assert!(!round.quorum_clamped && !round.transport_lost, "round {r}");
+        assert!(
+            round.vote_phase >= timeout && round.vote_phase < 2 * timeout,
+            "round {r}: silent validators cost the phase timeout and nothing more, got {:?}",
+            round.vote_phase
+        );
+        if round.accepted {
+            history.push(candidate.clone());
+            global = candidate;
+        }
+    }
+    assert!(real_verdicts >= 3, "the window must fill early enough for real verdicts");
+    assert!(!rounds[ROUNDS as usize - 1].accepted, "the upside-down model must be voted out");
+    assert_eq!(server.global_model().params(), global.params());
 }
 
 /// Zeroes the wall-clock fields so two runs can be compared bit-for-bit

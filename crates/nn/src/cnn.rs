@@ -8,6 +8,7 @@
 //! with it unchanged (the defense is model-agnostic by design).
 
 use crate::conv::{Conv1d, GlobalAvgPool1d};
+use crate::scratch::Scratch;
 use crate::{softmax_cross_entropy, softmax_cross_entropy_into, Activation, Dense, Model, Sgd};
 use baffle_tensor::Matrix;
 use rand::seq::SliceRandom;
@@ -70,7 +71,7 @@ impl CnnSpec {
 /// the next stage's input **and** its residual skip term — replacing the
 /// per-stage input clones of the reference path. All buffers are reused
 /// across batches; contents are fully rewritten each use.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct CnnScratch {
     acts: Vec<Matrix>,
     pooled: Matrix,
@@ -94,7 +95,7 @@ pub struct Cnn {
     pool: GlobalAvgPool1d,
     head: Dense,
     #[serde(skip)]
-    scratch: CnnScratch,
+    scratch: Scratch<CnnScratch>,
 }
 
 impl Cnn {
@@ -115,7 +116,7 @@ impl Cnn {
         }
         let pool = GlobalAvgPool1d::new(in_ch, spec.input_len);
         let head = Dense::new(in_ch, spec.num_classes, Activation::Identity, rng);
-        Self { spec: spec.clone(), convs, pool, head, scratch: CnnScratch::default() }
+        Self { spec: spec.clone(), convs, pool, head, scratch: Scratch::default() }
     }
 
     /// The architecture.
@@ -166,12 +167,15 @@ impl Cnn {
     pub fn train_batch(&mut self, x: &Matrix, y: &[usize], opt: &mut Sgd) -> f32 {
         assert_eq!(x.rows(), y.len(), "Cnn::train_batch: rows vs labels");
         let ns = self.convs.len();
-        self.scratch.acts.resize_with(ns, Matrix::default);
+        // Take the workspace out of `self` so `skip_at` can borrow the
+        // model while stage buffers are held; restored below.
+        let mut scratch = std::mem::take(&mut *self.scratch);
+        scratch.acts.resize_with(ns, Matrix::default);
         // Forward with caches: stage s reads acts[s−1] (or x) and writes
         // acts[s]; the same previous activation serves as the skip term.
         for s in 0..ns {
             let skip = self.skip_at(s);
-            let (prev, cur) = self.scratch.acts.split_at_mut(s);
+            let (prev, cur) = scratch.acts.split_at_mut(s);
             let input = if s == 0 { x } else { &prev[s - 1] };
             self.convs[s].forward_train_into(input, &mut cur[0]);
             if skip {
@@ -179,18 +183,18 @@ impl Cnn {
             }
         }
         self.pool.forward_into(
-            self.scratch.acts.last().expect("Cnn has at least one conv stage"),
-            &mut self.scratch.pooled,
+            scratch.acts.last().expect("Cnn has at least one conv stage"),
+            &mut scratch.pooled,
         );
-        self.head.forward_train_into(&self.scratch.pooled, &mut self.scratch.logits);
-        let loss = softmax_cross_entropy_into(&self.scratch.logits, y, &mut self.scratch.loss_grad);
+        self.head.forward_train_into(&scratch.pooled, &mut scratch.logits);
+        let loss = softmax_cross_entropy_into(&scratch.logits, y, &mut scratch.loss_grad);
 
         // Backward: ping-pong the stage gradient between two persistent
         // buffers.
-        self.head.backward_into(&self.scratch.loss_grad, &mut self.scratch.grad_pooled);
-        let mut ga = std::mem::take(&mut self.scratch.grad_a);
-        let mut gb = std::mem::take(&mut self.scratch.grad_b);
-        self.pool.backward_into(&self.scratch.grad_pooled, &mut ga);
+        self.head.backward_into(&scratch.loss_grad, &mut scratch.grad_pooled);
+        let mut ga = std::mem::take(&mut scratch.grad_a);
+        let mut gb = std::mem::take(&mut scratch.grad_b);
+        self.pool.backward_into(&scratch.grad_pooled, &mut ga);
         for s in (0..ns).rev() {
             let skip = self.skip_at(s);
             self.convs[s].backward_into(&ga, &mut gb);
@@ -200,8 +204,9 @@ impl Cnn {
             }
             std::mem::swap(&mut ga, &mut gb);
         }
-        self.scratch.grad_a = ga;
-        self.scratch.grad_b = gb;
+        scratch.grad_a = ga;
+        scratch.grad_b = gb;
+        *self.scratch = scratch;
 
         // Update.
         opt.begin_step(self.num_params());
@@ -323,16 +328,6 @@ impl Cnn {
             batches += 1;
         }
         total / batches as f32
-    }
-
-    /// Drops all cached activations/gradients and the training scratch
-    /// buffers (e.g. before serialising).
-    pub fn clear_cache(&mut self) {
-        for conv in &mut self.convs {
-            conv.clear_cache();
-        }
-        self.head.clear_cache();
-        self.scratch = CnnScratch::default();
     }
 
     /// Fraction of correctly classified rows.
@@ -493,6 +488,34 @@ mod tests {
             after < before + 1e-6,
             "SGD step along the gradient increased the loss: {before} -> {after}"
         );
+    }
+
+    /// The CNN form of the clone contract: same parameters and
+    /// predictions, and bit-identical further training, residual skips
+    /// and a ragged last batch (8 over 36 rows leaves 4) included.
+    #[test]
+    fn warm_clone_trains_bit_identically_to_the_original() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let (x, y) = toy_signals(&mut rng, 12, 10);
+        let spec = CnnSpec::new(10, &[3, 3], 3, 3).with_residual();
+        let mut model = Cnn::new(&spec, &mut rng);
+        let mut opt = Sgd::new(0.03).with_momentum(0.9);
+        for _ in 0..2 {
+            model.train_epoch(&x, &y, 8, &mut opt, &mut rng);
+        }
+        let mut twin = model.clone();
+        assert_eq!(model.params(), twin.params());
+        assert_eq!(model.predict_batch(&x), twin.predict_batch(&x));
+        assert!(twin.scratch.acts.is_empty() && twin.scratch.order.is_empty());
+
+        let (mut opt_t, mut rng_t) = (opt.clone(), StdRng::seed_from_u64(55));
+        let mut rng_m = StdRng::seed_from_u64(55);
+        let lm = model.train_epoch(&x, &y, 8, &mut opt, &mut rng_m);
+        let lt = twin.train_epoch(&x, &y, 8, &mut opt_t, &mut rng_t);
+        assert_eq!(lm.to_bits(), lt.to_bits(), "loss {lm} vs {lt}");
+        for (a, b) in model.params().iter().zip(&twin.params()) {
+            assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
+        }
     }
 
     #[test]

@@ -27,6 +27,7 @@
 //! a bias that SGD from zero init can never drive to `-0.0`, and IEEE
 //! addition cannot produce `-0.0` from such a start).
 
+use crate::scratch::Scratch;
 use crate::{Activation, Sgd};
 use baffle_tensor::{gemm, rng as trng, Matrix};
 use rand::Rng;
@@ -36,7 +37,7 @@ use serde::{Deserialize, Serialize};
 /// it was sized for. Reusing it across same-size batches skips the
 /// allocation *and* the margin re-zeroing — packing only rewrites the
 /// valid spans.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct Im2col {
     batch: usize,
     data: Vec<f32>,
@@ -103,48 +104,44 @@ pub struct Conv1d {
     w: Matrix,
     b: Vec<f32>,
     activation: Activation,
-    /// Input of the latest `forward_train` call. Persistent buffer gated
-    /// by `has_cache`, like every training scratch below: reused across
-    /// batches so the steady-state train cycle is allocation-free.
     #[serde(skip)]
+    scratch: Scratch<ConvScratch>,
+    /// Route every pass through the retained scalar loops instead of
+    /// GEMM (test support; see [`Conv1d::force_naive`]). A setting, not
+    /// scratch: it survives a clone.
+    #[serde(skip)]
+    force_naive: bool,
+}
+
+/// [`Conv1d`]'s training workspace: persistent buffers gated by
+/// `has_cache` / `has_grads` and reused across batches, so the
+/// steady-state train cycle is allocation-free. Not part of the layer's
+/// value — a clone starts with none of them.
+#[derive(Debug, Default)]
+struct ConvScratch {
+    /// Input of the latest `forward_train` call.
     cached_input: Matrix,
-    #[serde(skip)]
     cached_pre: Matrix,
-    #[serde(skip)]
     has_cache: bool,
-    #[serde(skip)]
     grad_w: Matrix,
-    #[serde(skip)]
     grad_b: Vec<f32>,
-    #[serde(skip)]
     has_grads: bool,
     /// δ = grad_out ⊙ act′(pre) scratch for `backward`.
-    #[serde(skip)]
     delta: Matrix,
     /// Transposed (`oc × batch·len`) GEMM output scratch for the forward
     /// pass.
-    #[serde(skip)]
     out_t: Vec<f32>,
     /// Transposed delta scratch for the weight/bias-gradient pass.
-    #[serde(skip)]
     dt: Vec<f32>,
     /// Kernel-flipped weight scratch for the input-delta pass.
-    #[serde(skip)]
     wflip: Vec<f32>,
     /// Transposed input-delta scratch for the input-delta pass.
-    #[serde(skip)]
     dxt: Vec<f32>,
     /// im2col scratch for the forward / weight-gradient passes.
-    #[serde(skip)]
     col_cache: Option<Im2col>,
     /// im2col scratch for the input-delta pass (packs `delta`, so it is
     /// sized by `out_channels`, not `in_channels`).
-    #[serde(skip)]
     dcol_cache: Option<Im2col>,
-    /// Route every pass through the retained scalar loops instead of
-    /// GEMM (test support; see [`Conv1d::force_naive`]).
-    #[serde(skip)]
-    force_naive: bool,
 }
 
 impl Conv1d {
@@ -174,19 +171,7 @@ impl Conv1d {
             w: trng::he_init_transposed(rng, fan_in, out_channels),
             b: vec![0.0; out_channels],
             activation,
-            cached_input: Matrix::default(),
-            cached_pre: Matrix::default(),
-            has_cache: false,
-            grad_w: Matrix::default(),
-            grad_b: Vec::new(),
-            has_grads: false,
-            delta: Matrix::default(),
-            out_t: Vec::new(),
-            dt: Vec::new(),
-            wflip: Vec::new(),
-            dxt: Vec::new(),
-            col_cache: None,
-            dcol_cache: None,
+            scratch: Scratch::default(),
             force_naive: false,
         }
     }
@@ -312,25 +297,6 @@ impl Conv1d {
         self.force_naive = on;
     }
 
-    /// Drops every cached activation, gradient and im2col scratch
-    /// buffer (e.g. before serialising or measuring memory). Frees the
-    /// persistent training buffers.
-    pub fn clear_cache(&mut self) {
-        self.cached_input = Matrix::default();
-        self.cached_pre = Matrix::default();
-        self.grad_w = Matrix::default();
-        self.grad_b = Vec::new();
-        self.delta = Matrix::default();
-        self.out_t = Vec::new();
-        self.dt = Vec::new();
-        self.wflip = Vec::new();
-        self.dxt = Vec::new();
-        self.col_cache = None;
-        self.dcol_cache = None;
-        self.has_cache = false;
-        self.has_grads = false;
-    }
-
     /// Training forward pass (caches state for [`Conv1d::backward`]).
     pub fn forward_train(&mut self, x: &Matrix) -> Matrix {
         let mut out = Matrix::default();
@@ -347,39 +313,35 @@ impl Conv1d {
     pub fn forward_train_into(&mut self, x: &Matrix, out: &mut Matrix) {
         self.check_input(x);
         if self.force_naive {
-            self.cached_pre = self.naive_convolve(x);
+            self.scratch.cached_pre = self.naive_convolve(x);
         } else {
-            let (oc, ick) = (self.out_channels, self.in_channels * self.kernel);
-            let cl = x.rows() * self.length;
-            im2col_cached(&mut self.col_cache, x, self.in_channels, self.kernel, self.length);
-            self.out_t.resize(oc * cl, 0.0);
-            {
-                let Self { w, b, out_t, col_cache, .. } = self;
-                // Bias-prefill covers the whole transposed buffer, so the
-                // resize's stale prefix never reaches the product.
-                for (chunk, &bo) in out_t.chunks_mut(cl.max(1)).zip(b.iter()) {
-                    chunk.fill(bo);
-                }
-                let col = &col_cache.as_ref().expect("col cache just packed").data;
-                gemm::nn(oc, ick, cl, w.as_slice(), col, out_t);
+            let (oc, ick, len) = (self.out_channels, self.in_channels * self.kernel, self.length);
+            let (cl, out_dim) = (x.rows() * len, self.out_dim());
+            let s = &mut *self.scratch;
+            let col = im2col_cached(&mut s.col_cache, x, self.in_channels, self.kernel, len);
+            s.out_t.resize(oc * cl, 0.0);
+            // Bias-prefill covers the whole transposed buffer, so the
+            // resize's stale prefix never reaches the product.
+            for (chunk, &bo) in s.out_t.chunks_mut(cl.max(1)).zip(self.b.iter()) {
+                chunk.fill(bo);
             }
+            gemm::nn(oc, ick, cl, self.w.as_slice(), col, &mut s.out_t);
             // Unpack `oc × (batch·len)` back to batch-major rows; every
             // element of `cached_pre` is overwritten.
-            let len = self.length;
-            self.cached_pre.resize_for_overwrite(x.rows(), self.out_dim());
-            let Self { cached_pre, out_t, .. } = self;
+            s.cached_pre.resize_for_overwrite(x.rows(), out_dim);
             for bi in 0..x.rows() {
-                let row = cached_pre.row_mut(bi);
+                let row = s.cached_pre.row_mut(bi);
                 for o in 0..oc {
                     row[o * len..(o + 1) * len]
-                        .copy_from_slice(&out_t[o * cl + bi * len..o * cl + (bi + 1) * len]);
+                        .copy_from_slice(&s.out_t[o * cl + bi * len..o * cl + (bi + 1) * len]);
                 }
             }
         }
-        self.cached_input.copy_from(x);
+        let s = &mut *self.scratch;
+        s.cached_input.copy_from(x);
         let act = self.activation;
-        self.cached_pre.map_into(|v| act.apply(v), out);
-        self.has_cache = true;
+        s.cached_pre.map_into(|v| act.apply(v), out);
+        s.has_cache = true;
     }
 
     /// Backward pass: returns ∂L/∂x and stores parameter gradients.
@@ -404,25 +366,25 @@ impl Conv1d {
     /// Panics if called before `forward_train` or with a wrong-shaped
     /// gradient.
     pub fn backward_into(&mut self, grad_out: &Matrix, dx: &mut Matrix) {
-        assert!(self.has_cache, "Conv1d::backward before forward_train");
+        assert!(self.scratch.has_cache, "Conv1d::backward before forward_train");
         assert_eq!(
             grad_out.shape(),
-            self.cached_pre.shape(),
+            self.scratch.cached_pre.shape(),
             "Conv1d::backward: gradient shape mismatch"
         );
         let act = self.activation;
         // Take δ out of `self` so the backward kernels can borrow the
         // rest of the layer mutably; restored below.
-        let mut delta = std::mem::take(&mut self.delta);
-        self.cached_pre.map_into(|v| act.derivative(v), &mut delta);
+        let mut delta = std::mem::take(&mut self.scratch.delta);
+        self.scratch.cached_pre.map_into(|v| act.derivative(v), &mut delta);
         delta.hadamard_assign(grad_out);
         if self.force_naive {
             self.naive_backward_into(&delta, dx);
         } else {
             self.gemm_backward_into(&delta, dx);
         }
-        self.delta = delta;
-        self.has_grads = true;
+        self.scratch.delta = delta;
+        self.scratch.has_grads = true;
     }
 
     /// The retained scalar backward loops (valid tap range hoisted like
@@ -432,16 +394,17 @@ impl Conv1d {
     fn naive_backward_into(&mut self, delta: &Matrix, dx: &mut Matrix) {
         let (oc, ic, kernel, len) = (self.out_channels, self.in_channels, self.kernel, self.length);
         let pad = kernel / 2;
-        let batch = self.cached_input.rows();
+        let w = &self.w;
+        let ConvScratch { cached_input, grad_w, grad_b, .. } = &mut *self.scratch;
+        let batch = cached_input.rows();
         // The scalar loops accumulate sparsely (zero deltas are skipped),
         // so every target must start from explicit zeros.
-        self.grad_w.resize_for_overwrite(oc, ic * kernel);
-        self.grad_w.as_mut_slice().fill(0.0);
-        self.grad_b.clear();
-        self.grad_b.resize(oc, 0.0);
+        grad_w.resize_for_overwrite(oc, ic * kernel);
+        grad_w.as_mut_slice().fill(0.0);
+        grad_b.clear();
+        grad_b.resize(oc, 0.0);
         dx.resize_for_overwrite(batch, ic * len);
         dx.as_mut_slice().fill(0.0);
-        let Self { w, cached_input, grad_w, grad_b, .. } = self;
 
         for bi in 0..batch {
             let x_row = cached_input.row(bi);
@@ -477,68 +440,57 @@ impl Conv1d {
     /// order reproduces the scalar loop's `(o, p)` order per element.
     fn gemm_backward_into(&mut self, delta: &Matrix, dx: &mut Matrix) {
         let (oc, ic, kernel, len) = (self.out_channels, self.in_channels, self.kernel, self.length);
-        let batch = self.cached_input.rows();
+        let s = &mut *self.scratch;
+        let batch = s.cached_input.rows();
         let cl = batch * len;
         let ick = ic * kernel;
 
         // Transpose delta to `oc × (batch·len)` once; both the weight
         // and bias gradients consume it row-major. Fully overwritten.
-        self.dt.resize(oc * cl, 0.0);
+        s.dt.resize(oc * cl, 0.0);
         for bi in 0..batch {
             let d_row = delta.row(bi);
             for o in 0..oc {
-                self.dt[o * cl + bi * len..o * cl + (bi + 1) * len]
+                s.dt[o * cl + bi * len..o * cl + (bi + 1) * len]
                     .copy_from_slice(&d_row[o * len..(o + 1) * len]);
             }
         }
-        self.grad_b.clear();
+        s.grad_b.clear();
         if cl == 0 {
-            self.grad_b.resize(oc, 0.0);
+            s.grad_b.resize(oc, 0.0);
         } else {
-            let Self { grad_b, dt, .. } = self;
-            grad_b.extend(dt.chunks(cl).map(|r| r.iter().sum::<f32>()));
+            s.grad_b.extend(s.dt.chunks(cl).map(|r| r.iter().sum::<f32>()));
         }
 
         // Repack the cached input (reusing the forward buffer when the
         // batch size matches) and take the weight gradient in one shot.
         // GEMM accumulates, so the gradient buffer is re-zeroed first.
-        {
-            let Self { cached_input, col_cache, .. } = self;
-            im2col_cached(col_cache, cached_input, ic, kernel, len);
-        }
-        self.grad_w.resize_for_overwrite(oc, ick);
-        self.grad_w.as_mut_slice().fill(0.0);
-        {
-            let Self { grad_w, dt, col_cache, .. } = self;
-            let col = &col_cache.as_ref().expect("col cache just packed").data;
-            gemm::nt(oc, cl, ick, dt, col, grad_w.as_mut_slice());
-        }
+        let col = im2col_cached(&mut s.col_cache, &s.cached_input, ic, kernel, len);
+        s.grad_w.resize_for_overwrite(oc, ick);
+        s.grad_w.as_mut_slice().fill(0.0);
+        gemm::nt(oc, cl, ick, &s.dt, col, s.grad_w.as_mut_slice());
 
         // Input delta: convolve `delta` with the kernel-flipped weights.
         // Every flipped entry is rewritten, so no zeroing is needed.
-        self.wflip.resize(ic * oc * kernel, 0.0);
+        s.wflip.resize(ic * oc * kernel, 0.0);
         for i in 0..ic {
             for o in 0..oc {
                 for kf in 0..kernel {
-                    self.wflip[i * (oc * kernel) + o * kernel + kf] =
+                    s.wflip[i * (oc * kernel) + o * kernel + kf] =
                         self.w[(o, i * kernel + (kernel - 1 - kf))];
                 }
             }
         }
-        im2col_cached(&mut self.dcol_cache, delta, oc, kernel, len);
-        self.dxt.resize(ic * cl, 0.0);
-        self.dxt.fill(0.0); // GEMM accumulates
-        {
-            let Self { dxt, wflip, dcol_cache, .. } = self;
-            let dcol = &dcol_cache.as_ref().expect("dcol cache just packed").data;
-            gemm::nn(ic, oc * kernel, cl, wflip, dcol, dxt);
-        }
+        let dcol = im2col_cached(&mut s.dcol_cache, delta, oc, kernel, len);
+        s.dxt.resize(ic * cl, 0.0);
+        s.dxt.fill(0.0); // GEMM accumulates
+        gemm::nn(ic, oc * kernel, cl, &s.wflip, dcol, &mut s.dxt);
         dx.resize_for_overwrite(batch, ic * len);
         for bi in 0..batch {
             let dx_row = dx.row_mut(bi);
             for i in 0..ic {
                 dx_row[i * len..(i + 1) * len]
-                    .copy_from_slice(&self.dxt[i * cl + bi * len..i * cl + (bi + 1) * len]);
+                    .copy_from_slice(&s.dxt[i * cl + bi * len..i * cl + (bi + 1) * len]);
             }
         }
     }
@@ -549,13 +501,13 @@ impl Conv1d {
     ///
     /// Panics if called before [`Conv1d::backward`].
     pub fn apply_grads(&mut self, mut f: impl FnMut(&mut f32, f32)) {
-        assert!(self.has_grads, "Conv1d::apply_grads before backward");
-        self.has_grads = false;
-        let Self { w, b, grad_w, grad_b, .. } = self;
-        for (p, &g) in w.as_mut_slice().iter_mut().zip(grad_w.as_slice()) {
+        assert!(self.scratch.has_grads, "Conv1d::apply_grads before backward");
+        self.scratch.has_grads = false;
+        let Self { w, b, scratch, .. } = self;
+        for (p, &g) in w.as_mut_slice().iter_mut().zip(scratch.grad_w.as_slice()) {
             f(p, g);
         }
-        for (p, &g) in b.iter_mut().zip(grad_b.iter()) {
+        for (p, &g) in b.iter_mut().zip(scratch.grad_b.iter()) {
             f(p, g);
         }
     }
@@ -569,10 +521,10 @@ impl Conv1d {
     ///
     /// Panics if called before [`Conv1d::backward`].
     pub fn apply_grads_chunked(&mut self, opt: &mut Sgd) {
-        assert!(self.has_grads, "Conv1d::apply_grads before backward");
-        self.has_grads = false;
-        opt.update_chunk(self.w.as_mut_slice(), self.grad_w.as_slice());
-        opt.update_chunk(&mut self.b, &self.grad_b);
+        assert!(self.scratch.has_grads, "Conv1d::apply_grads before backward");
+        self.scratch.has_grads = false;
+        opt.update_chunk(self.w.as_mut_slice(), self.scratch.grad_w.as_slice());
+        opt.update_chunk(&mut self.b, &self.scratch.grad_b);
     }
 
     /// Appends parameters (weights row-major, then bias).
@@ -723,8 +675,8 @@ mod tests {
         let ones = Matrix::filled(3, 10, 1.0);
         let dx = c.backward(&ones);
         let mut analytic = Vec::new();
-        analytic.extend_from_slice(c.grad_w.as_slice());
-        analytic.extend_from_slice(&c.grad_b);
+        analytic.extend_from_slice(c.scratch.grad_w.as_slice());
+        analytic.extend_from_slice(&c.scratch.grad_b);
 
         let mut params = Vec::new();
         c.write_params(&mut params);
@@ -792,6 +744,41 @@ mod tests {
         let _ = Conv1d::new(1, 1, 2, 4, Activation::Relu, &mut rng);
     }
 
+    /// A clone carries the parameters and the `force_naive` setting, and
+    /// none of the warm workspace.
+    #[test]
+    fn clone_copies_parameters_and_setting_not_workspace() {
+        let mut c = conv(2, 3, 3, 6, Activation::Tanh);
+        c.force_naive(true);
+        let x = Matrix::from_fn(4, 12, |r, j| ((r * 12 + j) as f32 * 0.21).sin());
+        c.forward_train(&x);
+        c.force_naive(false);
+        c.forward_train(&x);
+        c.backward(&Matrix::filled(4, 18, 0.5));
+        c.force_naive(true);
+        let d = c.clone();
+        assert!(d.force_naive, "force_naive is a setting and must survive the clone");
+        let (mut pc, mut pd) = (Vec::new(), Vec::new());
+        c.write_params(&mut pc);
+        d.write_params(&mut pd);
+        assert_eq!(pc, pd);
+        assert_eq!(c.forward(&x), d.forward(&x));
+        assert!(c.scratch.has_cache && c.scratch.has_grads, "cloning must not touch the original");
+        assert!(!d.scratch.has_cache && !d.scratch.has_grads);
+        assert!(d.scratch.cached_input.is_empty() && d.scratch.out_t.is_empty());
+        assert!(d.scratch.col_cache.is_none() && d.scratch.dcol_cache.is_none());
+    }
+
+    /// A clone taken between `forward_train` and `backward` refuses
+    /// `backward` exactly like a freshly built layer.
+    #[test]
+    #[should_panic(expected = "before forward_train")]
+    fn backward_on_mid_cycle_clone_panics() {
+        let mut c = conv(1, 2, 3, 4, Activation::Relu);
+        c.forward_train(&Matrix::zeros(1, 4));
+        let _ = c.clone().backward(&Matrix::zeros(1, 8));
+    }
+
     /// The persistent caches must make repeated same-shape GEMM-path
     /// train cycles allocation-free without changing any numeric result.
     #[test]
@@ -802,28 +789,28 @@ mod tests {
         let (mut out, mut dx) = (Matrix::default(), Matrix::default());
         c.forward_train_into(&x, &mut out);
         c.backward_into(&g, &mut dx);
-        let first = (out.clone(), dx.clone(), c.grad_w.clone(), c.grad_b.clone());
+        let first = (out.clone(), dx.clone(), c.scratch.grad_w.clone(), c.scratch.grad_b.clone());
         let ptrs = [
-            c.cached_pre.as_slice().as_ptr(),
-            c.grad_w.as_slice().as_ptr(),
-            c.delta.as_slice().as_ptr(),
-            c.out_t.as_ptr(),
-            c.dxt.as_ptr(),
+            c.scratch.cached_pre.as_slice().as_ptr(),
+            c.scratch.grad_w.as_slice().as_ptr(),
+            c.scratch.delta.as_slice().as_ptr(),
+            c.scratch.out_t.as_ptr(),
+            c.scratch.dxt.as_ptr(),
         ];
-        c.has_grads = false; // skip the update so weights stay put
+        c.scratch.has_grads = false; // skip the update so weights stay put
         c.forward_train_into(&x, &mut out);
         c.backward_into(&g, &mut dx);
         assert_eq!(
-            (out.clone(), dx.clone(), c.grad_w.clone(), c.grad_b.clone()),
+            (out.clone(), dx.clone(), c.scratch.grad_w.clone(), c.scratch.grad_b.clone()),
             first,
             "reuse changed the numbers"
         );
         let again = [
-            c.cached_pre.as_slice().as_ptr(),
-            c.grad_w.as_slice().as_ptr(),
-            c.delta.as_slice().as_ptr(),
-            c.out_t.as_ptr(),
-            c.dxt.as_ptr(),
+            c.scratch.cached_pre.as_slice().as_ptr(),
+            c.scratch.grad_w.as_slice().as_ptr(),
+            c.scratch.delta.as_slice().as_ptr(),
+            c.scratch.out_t.as_ptr(),
+            c.scratch.dxt.as_ptr(),
         ];
         assert_eq!(ptrs, again, "steady-state conv train cycle must not reallocate");
     }

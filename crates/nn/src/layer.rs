@@ -1,5 +1,6 @@
 //! Fully-connected (dense) layer with manual backpropagation.
 
+use crate::scratch::Scratch;
 use crate::{Activation, Sgd};
 use baffle_tensor::{rng, Matrix, MatrixView};
 use rand::Rng;
@@ -16,32 +17,33 @@ use serde::{Deserialize, Serialize};
 /// once the layer has seen a batch shape, every further
 /// [`Dense::forward_train`] / [`Dense::backward`] cycle at that shape is
 /// allocation-free. Validity is tracked by flags, so the panic behaviour
-/// of calling `backward` before `forward_train` is unchanged.
+/// of calling `backward` before `forward_train` is unchanged. They are
+/// workspace, not value: a clone starts with none of them.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Dense {
     w: Matrix,
     b: Vec<f32>,
     activation: Activation,
-    /// Input of the latest `forward_train` call (needed for dW).
     #[serde(skip)]
+    scratch: Scratch<DenseScratch>,
+}
+
+/// [`Dense`]'s training workspace.
+#[derive(Debug, Default)]
+struct DenseScratch {
+    /// Input of the latest `forward_train` call (needed for dW).
     cached_input: Matrix,
     /// Pre-activation of the latest `forward_train` call (needed for dact).
-    #[serde(skip)]
     cached_pre: Matrix,
     /// Whether the forward caches hold the latest batch.
-    #[serde(skip)]
     has_cache: bool,
     /// Weight gradient from the latest `backward` call.
-    #[serde(skip)]
     grad_w: Matrix,
     /// Bias gradient from the latest `backward` call.
-    #[serde(skip)]
     grad_b: Vec<f32>,
     /// Whether the gradients are fresh (consumed by `apply_grads*`).
-    #[serde(skip)]
     has_grads: bool,
     /// δ = grad_out ⊙ act′(pre) scratch for `backward`.
-    #[serde(skip)]
     delta: Matrix,
 }
 
@@ -57,13 +59,7 @@ impl Dense {
             w: rng::he_init(rng, in_dim, out_dim),
             b: vec![0.0; out_dim],
             activation,
-            cached_input: Matrix::default(),
-            cached_pre: Matrix::default(),
-            has_cache: false,
-            grad_w: Matrix::default(),
-            grad_b: Vec::new(),
-            has_grads: false,
-            delta: Matrix::default(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -138,12 +134,12 @@ impl Dense {
     ///
     /// Panics if `x.cols() != self.in_dim()`.
     pub fn forward_train_into(&mut self, x: &Matrix, out: &mut Matrix) {
-        self.cached_input.copy_from(x);
-        x.matmul_into(&self.w, &mut self.cached_pre);
-        self.cached_pre.add_row_broadcast(&self.b);
-        let act = self.activation;
-        self.cached_pre.map_into(|v| act.apply(v), out);
-        self.has_cache = true;
+        let Self { w, b, activation: act, scratch } = self;
+        scratch.cached_input.copy_from(x);
+        x.matmul_into(w, &mut scratch.cached_pre);
+        scratch.cached_pre.add_row_broadcast(b);
+        scratch.cached_pre.map_into(|v| act.apply(v), out);
+        scratch.has_cache = true;
     }
 
     /// Backward pass. `grad_out` is ∂L/∂y for the latest
@@ -169,16 +165,17 @@ impl Dense {
     /// Panics if called before `forward_train`, or if `grad_out` has the
     /// wrong shape.
     pub fn backward_into(&mut self, grad_out: &Matrix, dx: &mut Matrix) {
-        assert!(self.has_cache, "Dense::backward called before forward_train");
+        assert!(self.scratch.has_cache, "Dense::backward called before forward_train");
         assert_eq!(
             grad_out.shape(),
-            self.cached_pre.shape(),
+            self.scratch.cached_pre.shape(),
             "Dense::backward: grad shape {:?} != output shape {:?}",
             grad_out.shape(),
-            self.cached_pre.shape()
+            self.scratch.cached_pre.shape()
         );
         let act = self.activation;
-        let Self { w, cached_input, cached_pre, delta, grad_w, grad_b, .. } = self;
+        let DenseScratch { cached_input, cached_pre, delta, grad_w, grad_b, has_grads, .. } =
+            &mut *self.scratch;
 
         // δ = grad_out ⊙ act'(pre)
         cached_pre.map_into(|v| act.derivative(v), delta);
@@ -187,8 +184,8 @@ impl Dense {
         // dW = xᵀ δ, db = column sums of δ, dx = δ Wᵀ.
         cached_input.matmul_tn_into(delta, grad_w);
         delta.sum_rows_into(grad_b);
-        delta.matmul_nt_into(w, dx);
-        self.has_grads = true;
+        delta.matmul_nt_into(&self.w, dx);
+        *has_grads = true;
     }
 
     /// Applies the stored gradients with the given update rule
@@ -199,13 +196,13 @@ impl Dense {
     ///
     /// Panics if called before [`Dense::backward`].
     pub fn apply_grads(&mut self, mut f: impl FnMut(&mut f32, f32)) {
-        assert!(self.has_grads, "Dense::apply_grads called before backward");
-        self.has_grads = false;
-        let Self { w, b, grad_w, grad_b, .. } = self;
-        for (p, &g) in w.as_mut_slice().iter_mut().zip(grad_w.as_slice()) {
+        assert!(self.scratch.has_grads, "Dense::apply_grads called before backward");
+        self.scratch.has_grads = false;
+        let Self { w, b, scratch, .. } = self;
+        for (p, &g) in w.as_mut_slice().iter_mut().zip(scratch.grad_w.as_slice()) {
             f(p, g);
         }
-        for (p, &g) in b.iter_mut().zip(grad_b.iter()) {
+        for (p, &g) in b.iter_mut().zip(scratch.grad_b.iter()) {
             f(p, g);
         }
     }
@@ -220,10 +217,10 @@ impl Dense {
     ///
     /// Panics if called before [`Dense::backward`].
     pub fn apply_grads_chunked(&mut self, opt: &mut Sgd) {
-        assert!(self.has_grads, "Dense::apply_grads called before backward");
-        self.has_grads = false;
-        opt.update_chunk(self.w.as_mut_slice(), self.grad_w.as_slice());
-        opt.update_chunk(&mut self.b, &self.grad_b);
+        assert!(self.scratch.has_grads, "Dense::apply_grads called before backward");
+        self.scratch.has_grads = false;
+        opt.update_chunk(self.w.as_mut_slice(), self.scratch.grad_w.as_slice());
+        opt.update_chunk(&mut self.b, &self.scratch.grad_b);
     }
 
     /// Appends this layer's parameters to `out` (weights row-major, then
@@ -246,19 +243,6 @@ impl Dense {
         self.w.as_mut_slice().copy_from_slice(&p[..nw]);
         self.b.copy_from_slice(&p[nw..nw + nb]);
         &p[nw + nb..]
-    }
-
-    /// Drops cached activations and gradients (e.g. before serialising).
-    /// Frees the persistent training buffers, so a model kept only for
-    /// inference carries no training footprint.
-    pub fn clear_cache(&mut self) {
-        self.cached_input = Matrix::default();
-        self.cached_pre = Matrix::default();
-        self.grad_w = Matrix::default();
-        self.grad_b = Vec::new();
-        self.delta = Matrix::default();
-        self.has_cache = false;
-        self.has_grads = false;
     }
 }
 
@@ -328,8 +312,8 @@ mod tests {
 
         // Check weight gradients against finite differences.
         let mut analytic = Vec::new();
-        analytic.extend_from_slice(l.grad_w.as_slice());
-        analytic.extend_from_slice(&l.grad_b);
+        analytic.extend_from_slice(l.scratch.grad_w.as_slice());
+        analytic.extend_from_slice(&l.scratch.grad_b);
         let mut p = Vec::new();
         l.write_params(&mut p);
         let eps = 1e-3;
@@ -368,6 +352,35 @@ mod tests {
         let _ = l.backward(&Matrix::zeros(1, 2));
     }
 
+    /// A clone is the layer's value — parameters and activation — with
+    /// the workspace of a freshly built layer, not a copy of the warm one.
+    #[test]
+    fn clone_copies_parameters_not_workspace() {
+        let mut l = layer(4, 3, Activation::Tanh);
+        let x = Matrix::from_fn(5, 4, |r, c| ((r * 4 + c) as f32 * 0.23).sin());
+        l.forward_train(&x);
+        l.backward(&Matrix::filled(5, 3, 0.5));
+        let c = l.clone();
+        let (mut pl, mut pc) = (Vec::new(), Vec::new());
+        l.write_params(&mut pl);
+        c.write_params(&mut pc);
+        assert_eq!(pl, pc);
+        assert_eq!(l.forward(&x), c.forward(&x));
+        assert!(l.scratch.has_cache && l.scratch.has_grads, "cloning must not touch the original");
+        assert!(!c.scratch.has_cache && !c.scratch.has_grads);
+        assert!(c.scratch.cached_input.is_empty() && c.scratch.grad_w.is_empty());
+    }
+
+    /// A clone taken between `forward_train` and `backward` holds no
+    /// forward cache, so it refuses `backward` exactly like a new layer.
+    #[test]
+    #[should_panic(expected = "before forward_train")]
+    fn backward_on_mid_cycle_clone_panics() {
+        let mut l = layer(2, 2, Activation::Relu);
+        l.forward_train(&Matrix::zeros(1, 2));
+        let _ = l.clone().backward(&Matrix::zeros(1, 2));
+    }
+
     #[test]
     #[should_panic(expected = "before backward")]
     fn apply_grads_without_backward_panics() {
@@ -387,22 +400,22 @@ mod tests {
         l.backward_into(&g, &mut dx);
         let first = (out.clone(), dx.clone());
         let ptrs = [
-            l.cached_input.as_slice().as_ptr(),
-            l.cached_pre.as_slice().as_ptr(),
-            l.grad_w.as_slice().as_ptr(),
-            l.delta.as_slice().as_ptr(),
+            l.scratch.cached_input.as_slice().as_ptr(),
+            l.scratch.cached_pre.as_slice().as_ptr(),
+            l.scratch.grad_w.as_slice().as_ptr(),
+            l.scratch.delta.as_slice().as_ptr(),
             out.as_slice().as_ptr(),
             dx.as_slice().as_ptr(),
         ];
-        l.has_grads = false; // skip the update so weights stay put
+        l.scratch.has_grads = false; // skip the update so weights stay put
         l.forward_train_into(&x, &mut out);
         l.backward_into(&g, &mut dx);
         assert_eq!((out.clone(), dx.clone()), first, "reuse changed the numbers");
         let again = [
-            l.cached_input.as_slice().as_ptr(),
-            l.cached_pre.as_slice().as_ptr(),
-            l.grad_w.as_slice().as_ptr(),
-            l.delta.as_slice().as_ptr(),
+            l.scratch.cached_input.as_slice().as_ptr(),
+            l.scratch.cached_pre.as_slice().as_ptr(),
+            l.scratch.grad_w.as_slice().as_ptr(),
+            l.scratch.delta.as_slice().as_ptr(),
             out.as_slice().as_ptr(),
             dx.as_slice().as_ptr(),
         ];

@@ -36,6 +36,7 @@ mod layer;
 mod loss;
 mod mlp;
 mod optimizer;
+mod scratch;
 pub mod wire;
 
 pub use activation::Activation;

@@ -1,5 +1,6 @@
 //! Multi-layer perceptron classifier.
 
+use crate::scratch::Scratch;
 use crate::{softmax_cross_entropy, softmax_cross_entropy_into, Activation, Dense, Model, Sgd};
 use baffle_tensor::Matrix;
 use rand::seq::SliceRandom;
@@ -72,7 +73,7 @@ impl MlpSpec {
 /// per-layer activation chain, the ping-pong gradient pair and the
 /// per-minibatch row/label staging buffers. All buffers are reused
 /// across batches; contents are fully rewritten each use.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct TrainScratch {
     /// `acts[i]` = activation of layer `i` (`acts.last()` = logits).
     pub acts: Vec<Matrix>,
@@ -95,7 +96,7 @@ pub struct Mlp {
     spec: MlpSpec,
     layers: Vec<Dense>,
     #[serde(skip)]
-    scratch: TrainScratch,
+    scratch: Scratch<TrainScratch>,
 }
 
 impl Mlp {
@@ -109,7 +110,7 @@ impl Mlp {
             let act = if i + 2 == dims.len() { Activation::Identity } else { spec.activation };
             layers.push(Dense::new(w[0], w[1], act, rng));
         }
-        Self { spec: spec.clone(), layers, scratch: TrainScratch::default() }
+        Self { spec: spec.clone(), layers, scratch: Scratch::default() }
     }
 
     /// The architecture of this model.
@@ -141,30 +142,32 @@ impl Mlp {
     pub fn train_batch(&mut self, x: &Matrix, y: &[usize], opt: &mut Sgd) -> f32 {
         assert_eq!(x.rows(), y.len(), "Mlp::train_batch: {} rows vs {} labels", x.rows(), y.len());
         let nl = self.layers.len();
-        self.scratch.acts.resize_with(nl, Matrix::default);
+        let scratch = &mut *self.scratch;
+        scratch.acts.resize_with(nl, Matrix::default);
         // Forward with caching: layer i reads acts[i−1] (or x) and writes
         // acts[i]; split_at_mut keeps the read and write rows disjoint.
         for i in 0..nl {
-            let (prev, cur) = self.scratch.acts.split_at_mut(i);
+            let (prev, cur) = scratch.acts.split_at_mut(i);
             let input = if i == 0 { x } else { &prev[i - 1] };
             self.layers[i].forward_train_into(input, &mut cur[0]);
         }
         let loss = softmax_cross_entropy_into(
-            self.scratch.acts.last().expect("Mlp has at least one layer"),
+            scratch.acts.last().expect("Mlp has at least one layer"),
             y,
-            &mut self.scratch.grad_a,
+            &mut scratch.grad_a,
         );
         // Backward: ping-pong the gradient between two persistent buffers.
-        let mut ga = std::mem::take(&mut self.scratch.grad_a);
-        let mut gb = std::mem::take(&mut self.scratch.grad_b);
+        let mut ga = std::mem::take(&mut scratch.grad_a);
+        let mut gb = std::mem::take(&mut scratch.grad_b);
         for layer in self.layers.iter_mut().rev() {
             layer.backward_into(&ga, &mut gb);
             std::mem::swap(&mut ga, &mut gb);
         }
-        self.scratch.grad_a = ga;
-        self.scratch.grad_b = gb;
-        // Update.
-        opt.begin_step(self.num_params());
+        scratch.grad_a = ga;
+        scratch.grad_b = gb;
+        // Update. The count is summed over the layers because this step
+        // must not allocate and `MlpSpec::num_params` builds a `Vec`.
+        opt.begin_step(self.layers.iter().map(Dense::num_params).sum());
         for layer in &mut self.layers {
             layer.apply_grads_chunked(opt);
         }
@@ -286,15 +289,6 @@ impl Mlp {
         let correct = preds.iter().zip(y).filter(|(p, t)| p == t).count();
         correct as f32 / y.len() as f32
     }
-
-    /// Drops all cached activations/gradients and the training scratch
-    /// buffers (e.g. before serialising).
-    pub fn clear_cache(&mut self) {
-        for layer in &mut self.layers {
-            layer.clear_cache();
-        }
-        self.scratch = TrainScratch::default();
-    }
 }
 
 impl Model for Mlp {
@@ -411,6 +405,25 @@ mod tests {
         }
         let after = model.loss(&x, &y);
         assert!(after < before, "loss went {before} -> {after}");
+    }
+
+    /// A clone of a warm model is the same model with an empty workspace,
+    /// and taking it leaves the original's workspace in place. (That the
+    /// two then train bit-identically is a property in
+    /// `tests/properties.rs`; the workspace is private, so this is here.)
+    #[test]
+    fn warm_clone_has_the_parameters_and_an_empty_workspace() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let (x, y) = toy_blobs(&mut rng, 50);
+        let mut model = Mlp::new(&MlpSpec::new(2, &[8, 5], 3), &mut rng);
+        let mut opt = Sgd::new(0.05).with_momentum(0.9);
+        model.train_epoch(&x, &y, 16, &mut opt, &mut rng);
+        let twin = model.clone();
+        assert_eq!(model.params(), twin.params());
+        assert_eq!(model.predict_batch(&x), twin.predict_batch(&x));
+        assert!(twin.scratch.acts.is_empty() && twin.scratch.order.is_empty());
+        assert_eq!(model.scratch.acts.len(), 3);
+        assert_eq!(model.scratch.order.len(), y.len());
     }
 
     #[test]

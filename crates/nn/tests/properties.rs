@@ -261,6 +261,41 @@ proptest! {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "param {} diverged: {} vs {}", i, a, b);
         }
     }
+
+    /// A model value is its parameters: after warm epochs, `clone()` has
+    /// the original's parameters and predictions, and one more epoch on
+    /// each from identical optimiser and RNG state gives bit-identical
+    /// loss and parameters (19 samples: ragged last batches of 3 and 1).
+    #[test]
+    fn warm_clone_is_the_same_model_and_trains_identically(
+        hidden in prop::collection::vec(1usize..10, 1..3),
+        batch in prop_oneof![Just(1usize), Just(4), Just(9)],
+        warm in 1usize..4,
+        seed in 0u64..500,
+    ) {
+        let spec = MlpSpec::new(6, &hidden, 4);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut original = Mlp::new(&spec, &mut rng);
+        let n = 19;
+        let x = baffle_tensor::rng::normal_matrix(&mut StdRng::seed_from_u64(seed ^ 0xABCD), n, 6, 1.0);
+        let y: Vec<usize> = (0..n).map(|i| i % 4).collect();
+        let mut opt_o = Sgd::new(0.05).with_momentum(0.9).with_weight_decay(1e-3);
+        for _ in 0..warm {
+            original.train_epoch(&x, &y, batch, &mut opt_o, &mut rng);
+        }
+        let mut copy = original.clone();
+        prop_assert_eq!(original.params(), copy.params());
+        prop_assert_eq!(original.predict_batch(&x), copy.predict_batch(&x));
+        let mut opt_c = opt_o.clone();
+        let mut rng_o = StdRng::seed_from_u64(seed + 1);
+        let mut rng_c = StdRng::seed_from_u64(seed + 1);
+        let lo = original.train_epoch(&x, &y, batch, &mut opt_o, &mut rng_o);
+        let lc = copy.train_epoch(&x, &y, batch, &mut opt_c, &mut rng_c);
+        prop_assert_eq!(lo.to_bits(), lc.to_bits(), "loss diverged: {} vs {}", lo, lc);
+        for (i, (a, b)) in original.params().iter().zip(&copy.params()).enumerate() {
+            prop_assert_eq!(a.to_bits(), b.to_bits(), "param {} diverged: {} vs {}", i, a, b);
+        }
+    }
 }
 
 /// The CNN twins (workspace vs allocating reference), over both the
