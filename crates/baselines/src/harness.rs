@@ -13,7 +13,7 @@ use crate::filters::{clip_and_noise, FoolsGold};
 use crate::flguard::FlGuard;
 use baffle_attack::voting::Vote;
 use baffle_attack::{BackdoorSpec, ModelReplacement};
-use baffle_core::{QuorumRule, ValidationConfig, Validator};
+use baffle_core::{tally, ValidationConfig, Validator};
 use baffle_data::{partition, SyntheticVision, VisionSpec};
 use baffle_fl::{sampling, LocalTrainer};
 use baffle_nn::{eval, Mlp, MlpSpec, Model, Sgd};
@@ -278,9 +278,7 @@ pub fn run_with_boost(
                     Ok(verdict) => verdict.vote(),
                     Err(_) => Vote::Accept,
                 });
-                let rule =
-                    QuorumRule::new(votes.len(), (*quorum).min(votes.len())).expect("valid quorum");
-                rule.decide(&votes).is_accepted()
+                tally(&votes, votes.len(), *quorum).decision.is_accepted()
             }
             _ => true,
         };

@@ -36,6 +36,7 @@
 //! affect the verdict.
 
 use crate::validate::{Diagnostics, ValidateError, Validator, Verdict, MIN_HISTORY};
+use baffle_attack::voting::Vote;
 use baffle_data::Dataset;
 use baffle_fl::history_sync::ModelId;
 use baffle_nn::{ConfusionMatrix, Model};
@@ -211,31 +212,6 @@ impl ValidationEngine {
         history: &[M],
         data: &Dataset,
     ) -> Result<Diagnostics, ValidateError> {
-        let (ids, window, missing) = self.prepare(ids, history, data)?;
-
-        // Every missing history model and the candidate are evaluated
-        // in one call. The candidate rides in the batch but is never
-        // cached: it has no id until (and unless) the quorum accepts
-        // it, and caching speculative models would let a rejected
-        // candidate poison a future lookup.
-        let mut batch: Vec<&M> = missing.iter().map(|&i| &window[i]).collect();
-        batch.push(current);
-        let mut cms = ConfusionMatrix::from_models(&batch, data.features(), data.labels());
-        let current_cm = cms.pop().expect("candidate confusion matrix");
-        for (&i, cm) in missing.iter().zip(cms) {
-            self.cache.insert(ids[i], cm);
-        }
-        self.decide(ids, current_cm, data.len())
-    }
-
-    /// Prologue: argument checks, window selection, miss detection and
-    /// counter updates.
-    fn prepare<'a, M: Model>(
-        &mut self,
-        ids: &'a [ModelId],
-        history: &'a [M],
-        data: &Dataset,
-    ) -> Result<(&'a [ModelId], &'a [M], Vec<usize>), ValidateError> {
         assert_eq!(
             ids.len(),
             history.len(),
@@ -255,21 +231,45 @@ impl ValidationEngine {
             (0..window.len()).filter(|&i| !self.cache.contains(ids[i])).collect();
         self.hits += (window.len() - missing.len()) as u64;
         self.misses += missing.len() as u64;
-        Ok((ids, window, missing))
-    }
 
-    /// Epilogue: evicts entries that left the window and runs the
-    /// decision half of Algorithm 2 over the cached window matrices.
-    fn decide(
-        &mut self,
-        ids: &[ModelId],
-        current_cm: ConfusionMatrix,
-        num_samples: usize,
-    ) -> Result<Diagnostics, ValidateError> {
+        // Every missing history model and the candidate are evaluated
+        // in one call. The candidate rides in the batch but is never
+        // cached: it has no id until (and unless) the quorum accepts
+        // it, and caching speculative models would let a rejected
+        // candidate poison a future lookup.
+        let mut batch: Vec<&M> = missing.iter().map(|&i| &window[i]).collect();
+        batch.push(current);
+        let mut cms = ConfusionMatrix::from_models(&batch, data.features(), data.labels());
+        let current_cm = cms.pop().expect("candidate confusion matrix");
+        for (&i, cm) in missing.iter().zip(cms) {
+            self.cache.insert(ids[i], cm);
+        }
+
+        // Entries that left the window go; the decision half of
+        // Algorithm 2 runs over the cached window matrices.
         self.cache.retain_window(ids);
         let confusions: Vec<&ConfusionMatrix> =
             ids.iter().map(|&id| self.cache.get(id).expect("window cached")).collect();
-        self.validator.validate_confusions(&confusions, &current_cm, num_samples)
+        self.validator.validate_confusions(&confusions, &current_cm, data.len())
+    }
+
+    /// The vote an in-process validator casts on `current`: the verdict
+    /// of [`ValidationEngine::validate_batched`], or
+    /// [`Vote::Accept`] when the validator cannot judge (too little
+    /// history, no data, degenerate analysis) — footnote 1 of the paper
+    /// counts a validator without a verdict as an implicit accept.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ids.len() != history.len()`.
+    pub fn vote<M: Model + Sync>(
+        &mut self,
+        current: &M,
+        ids: &[ModelId],
+        history: &[M],
+        data: &Dataset,
+    ) -> Vote {
+        self.validate_batched(current, ids, history, data).map_or(Vote::Accept, |v| v.vote())
     }
 }
 
@@ -397,6 +397,29 @@ mod tests {
         let err = engine.validate_batched(&history[0], &ids, &history, &empty).unwrap_err();
         assert_eq!(err, ValidateError::EmptyDataset);
         assert_eq!(engine.cache_len(), 0, "errors must not populate the cache");
+    }
+
+    #[test]
+    fn vote_is_the_verdict_or_an_accept_when_there_is_none() {
+        let data = dataset(40, 4);
+        let history = stable_history(&data, 12);
+        let ids: Vec<ModelId> = (0..12).collect();
+        let validator = Validator::new(ValidationConfig::new(10));
+        let mut engine = ValidationEngine::new(validator);
+        // An outlier (a quarter of the set newly wrong) and an inlier.
+        let wrong: Vec<usize> = (0..10).collect();
+        let cases = [
+            (model_with_errors(&data, &wrong), Vote::Reject),
+            (model_with_errors(&data, &[12, 13]), Vote::Accept),
+        ];
+        for (current, expected) in cases {
+            let verdict = validator.validate(&current, &history, &data).unwrap();
+            assert_eq!(verdict.vote(), expected);
+            assert_eq!(engine.vote(&current, &ids, &history, &data), expected);
+        }
+        // Cannot judge (three models of history, then no data): accept.
+        assert_eq!(engine.vote(&history[0], &ids[..3], &history[..3], &data), Vote::Accept);
+        assert_eq!(engine.vote(&history[0], &ids, &history, &Dataset::empty(1, 4)), Vote::Accept);
     }
 
     #[test]

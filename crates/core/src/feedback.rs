@@ -138,44 +138,35 @@ pub fn max_tolerable_malicious(n: usize, rho: f64) -> f64 {
     (1.0 - rho) * n as f64 / (2.0 - rho)
 }
 
-/// The complete server-side feedback loop state for one deployment:
-/// quorum rule plus accept/reject bookkeeping across rounds.
-#[derive(Debug, Clone)]
-pub struct FeedbackLoop {
-    rule: QuorumRule,
-    accepted: usize,
-    rejected: usize,
+/// The outcome of one round's vote count — see [`tally`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Tally {
+    /// Whether the update is integrated or discarded.
+    pub decision: Decision,
+    /// Explicit reject votes among those received.
+    pub reject_votes: usize,
+    /// Whether `quorum` exceeded the voters that exist and was lowered to
+    /// their number — a misconfiguration the caller may want to surface.
+    pub quorum_clamped: bool,
 }
 
-impl FeedbackLoop {
-    /// Creates a loop with the given quorum rule.
-    pub fn new(rule: QuorumRule) -> Self {
-        Self { rule, accepted: 0, rejected: 0 }
-    }
-
-    /// The configured quorum rule.
-    pub fn rule(&self) -> QuorumRule {
-        self.rule
-    }
-
-    /// Processes one round's votes, recording and returning the decision.
-    pub fn process_round(&mut self, votes: &[Vote]) -> Decision {
-        let d = self.rule.decide(votes);
-        match d {
-            Decision::Accepted => self.accepted += 1,
-            Decision::Rejected => self.rejected += 1,
-        }
-        d
-    }
-
-    /// Rounds accepted so far.
-    pub fn accepted_rounds(&self) -> usize {
-        self.accepted
-    }
-
-    /// Rounds rejected so far.
-    pub fn rejected_rounds(&self) -> usize {
-        self.rejected
+/// The decision step of Algorithm 1, for every driver of the protocol:
+/// counts the explicit rejects among `votes`, clamps `quorum` to the
+/// `voters` that exist (so a threshold nobody could reach does not turn
+/// the defense off), and applies the [`QuorumRule`]. `votes` may be
+/// shorter than `voters`: a voter that stayed silent or abstained is an
+/// implicit accept (footnote 1). Zero voters accept.
+///
+/// # Panics
+///
+/// Panics if `quorum` is zero.
+pub fn tally(votes: &[Vote], voters: usize, quorum: usize) -> Tally {
+    let voters = voters.max(1);
+    let rule = QuorumRule::new(voters, quorum.min(voters)).expect("quorum threshold is positive");
+    Tally {
+        decision: rule.decide(votes),
+        reject_votes: votes.iter().filter(|v| matches!(v, Vote::Reject)).count(),
+        quorum_clamped: rule.threshold() != quorum,
     }
 }
 
@@ -238,12 +229,48 @@ mod tests {
     }
 
     #[test]
-    fn feedback_loop_counts_decisions() {
-        let mut fl = FeedbackLoop::new(QuorumRule::new(3, 2).unwrap());
-        assert_eq!(fl.process_round(&[Vote::Reject, Vote::Reject]), Decision::Rejected);
-        assert_eq!(fl.process_round(&[Vote::Accept, Vote::Reject]), Decision::Accepted);
-        assert_eq!(fl.accepted_rounds(), 1);
-        assert_eq!(fl.rejected_rounds(), 1);
+    fn tally_rejects_at_exactly_the_quorum() {
+        let below = tally(&[Vote::Reject, Vote::Reject, Vote::Accept], 10, 3);
+        assert_eq!(
+            below,
+            Tally { decision: Decision::Accepted, reject_votes: 2, quorum_clamped: false }
+        );
+        let at = tally(&[Vote::Reject, Vote::Reject, Vote::Accept, Vote::Reject], 10, 3);
+        assert_eq!(
+            at,
+            Tally { decision: Decision::Rejected, reject_votes: 3, quorum_clamped: false }
+        );
+    }
+
+    #[test]
+    fn tally_counts_missing_votes_as_accepts() {
+        // 2 of 10 voters answered, both rejecting: q = 3 is not met, and
+        // the silent eight do not count as a clamp.
+        let t = tally(&[Vote::Reject, Vote::Reject], 10, 3);
+        assert_eq!(t.decision, Decision::Accepted);
+        assert!(!t.quorum_clamped);
+    }
+
+    #[test]
+    fn tally_clamps_an_unreachable_quorum_and_says_so() {
+        // q = 9 over 3 voters: lowered to 3, so unanimity still rejects.
+        let t = tally(&[Vote::Reject; 3], 3, 9);
+        assert_eq!(
+            t,
+            Tally { decision: Decision::Rejected, reject_votes: 3, quorum_clamped: true }
+        );
+        assert_eq!(tally(&[Vote::Reject; 2], 3, 9).decision, Decision::Accepted);
+        assert!(!tally(&[], 3, 3).quorum_clamped, "q = voters is reachable");
+    }
+
+    #[test]
+    fn tally_of_zero_voters_accepts() {
+        let t = tally(&[], 0, 1);
+        assert_eq!(
+            t,
+            Tally { decision: Decision::Accepted, reject_votes: 0, quorum_clamped: false }
+        );
+        assert!(tally(&[], 0, 2).quorum_clamped);
     }
 
     #[test]

@@ -9,9 +9,12 @@
 //!   **Algorithm 2**: flag the current global model if its
 //!   error-variation vector is a Local-Outlier-Factor outlier relative to
 //!   the variations of recently accepted models;
-//! - [`FeedbackLoop`] — the server side of **Algorithm 1**: collect
-//!   validators' votes and reject the round's update when at least `q`
-//!   validators flag it, with the quorum-threshold calculus of §IV-B;
+//! - [`feedback::tally`] — the decision step of **Algorithm 1**: reject
+//!   the round's update when at least `q` of the validators that exist
+//!   flag it ([`QuorumRule`]), with the quorum-threshold calculus of
+//!   §IV-B; [`ValidationEngine::vote`] is the vote an in-process
+//!   validator casts, and every driver of the protocol — [`Simulation`],
+//!   `baffle_net::server::Server` — decides a round through these two;
 //! - [`Simulation`] — the end-to-end experiment driver that combines the
 //!   FL substrate, attacks and defense to regenerate every table and
 //!   figure of the paper's evaluation (§VI).
@@ -37,7 +40,7 @@ pub mod validate;
 pub mod variation;
 
 pub use engine::{ConfusionCache, ValidationEngine};
-pub use feedback::{Decision, FeedbackLoop, QuorumRule};
+pub use feedback::{tally, Decision, QuorumRule, Tally};
 pub use history::ModelHistory;
 pub use simulation::{
     AttackKind, ClientDataModel, DatasetKind, DefenseMode, RoundRecord, Simulation,

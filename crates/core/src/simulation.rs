@@ -9,10 +9,10 @@
 //! [`SimulationReport`].
 
 use crate::engine::ValidationEngine;
-use crate::feedback::{Decision, QuorumRule};
+use crate::feedback::{tally, Decision, Tally};
 use crate::history::ModelHistory;
 use crate::metrics::DetectionCounts;
-use crate::validate::{ValidationConfig, Validator};
+use crate::validate::{ValidationConfig, Validator, MIN_HISTORY};
 use baffle_attack::adaptive::dampen_until_accepted;
 use baffle_attack::voting::{Vote, VoterBehavior};
 use baffle_attack::{BackdoorSpec, ModelReplacement};
@@ -447,11 +447,10 @@ pub struct Simulation {
     server_engine: ValidationEngine,
     fl: FlConfig,
     round_index: usize,
-    /// Deferred mode: ground truth of the latest accepted (not yet
-    /// validated) candidate.
-    pending_poisoned: bool,
-    /// Deferred mode: backdoor probe of that candidate.
-    pending_bd_acc: Option<f32>,
+    /// Deferred mode: ground truth of the latest integrated, not yet
+    /// voted-on candidate — whether it was injected, and its backdoor
+    /// probe.
+    pending: (bool, Option<f32>),
 }
 
 impl Simulation {
@@ -621,15 +620,22 @@ impl Simulation {
             server_engine,
             fl,
             round_index: 0,
-            pending_poisoned: false,
-            pending_bd_acc: None,
+            pending: (false, None),
         };
 
         // Clean warm-up rounds: accepted unconditionally, filling the
-        // history with genuine cross-round variations.
+        // history with genuine cross-round variations. Summed in the
+        // clear whatever `use_secagg` says: these rounds precede the
+        // protocol, so they have no round number to key a masking
+        // session with, and masking them would move every seeded outcome
+        // downstream of the warm start.
         for _ in 0..sim.config.warmup_rounds {
-            let candidate = sim.clean_round_candidate();
-            sim.global = candidate;
+            let contributors = sampling::select_clients(
+                &mut sim.rng,
+                sim.config.num_clients,
+                sim.fl.clients_per_round(),
+            );
+            (sim.global, _) = sim.candidate(&contributors, false, None);
             sim.history.push(sim.global.clone());
         }
         sim
@@ -713,97 +719,93 @@ impl Simulation {
     }
 
     /// Runs a single recorded round and returns its record.
+    ///
+    /// Immediate mode polls freshly sampled validators on the round's
+    /// candidate **after** training and integrates it on accept.
+    /// Deferred mode (§VI-D) polls the round's contributors on the
+    /// previous round's model **before** training, rolls it back on
+    /// reject, and integrates the new candidate unvoted — detection lags
+    /// one round, and the record's ground truth (`poisoned`,
+    /// `candidate_backdoor_accuracy`) refers to the model the vote was
+    /// about.
     pub fn step(&mut self) -> RoundRecord {
-        if self.config.deferred_validation {
-            return self.step_deferred();
-        }
         self.round_index += 1;
         let round = self.round_index;
-        let poisoned = self.config.poison_rounds.contains(&round);
-
-        // --- Contributor phase -----------------------------------------
+        let deferred = self.config.deferred_validation;
+        let injected = self.config.poison_rounds.contains(&round);
         let mut contributors = sampling::select_clients(
             &mut self.rng,
             self.config.num_clients,
             self.fl.clients_per_round(),
         );
-        if poisoned && !contributors.contains(&0) {
+        if injected && !contributors.contains(&0) {
             // The attacker makes sure its client is selected this round
             // (single-shot attacks assume participation).
             contributors[0] = 0;
         }
-        let mut adaptive_self_accepted = None;
-        let mut updates = self.honest_updates(&contributors, poisoned);
-        if poisoned {
-            let (update, self_accepted) = self.poisoned_update();
-            adaptive_self_accepted = self_accepted;
-            updates.push(update);
+
+        let mut poll = None;
+        if deferred {
+            poll = self.poll(None, &contributors);
+            if poll.is_some_and(|(tally, ..)| !tally.decision.is_accepted()) {
+                let (retired, _) = self.history.pop().expect("the poll was about the newest entry");
+                // The popped id is retired for good; drop its cache entries
+                // everywhere so the engines never serve a rolled-back model.
+                for engine in &self.client_engines {
+                    engine.lock().invalidate(retired);
+                }
+                self.server_engine.invalidate(retired);
+                self.global = self.history.latest().expect("history keeps its root").clone();
+            }
         }
 
-        // --- Aggregation (optionally through secure aggregation) -------
-        let summed: Vec<f32> = if self.config.use_secagg {
-            let session = SecAggSession::new(
-                self.config.seed ^ round as u64,
-                updates.len(),
-                updates[0].len(),
-            );
-            let masked: Vec<Vec<f32>> =
-                updates.iter().enumerate().map(|(i, u)| session.mask(i, u)).collect();
-            session.aggregate(&masked)
-        } else {
-            let mut sum = vec![0.0; updates[0].len()];
-            for u in &updates {
-                baffle_tensor::ops::axpy(1.0, u, &mut sum);
-            }
-            sum
-        };
-        let candidate_params =
-            fedavg(&self.global.params(), &[summed], self.fl.global_lr(), self.fl.num_clients());
-        let mut candidate = self.global.clone();
-        candidate.set_params(&candidate_params);
-
+        let masked_round = self.config.use_secagg.then_some(round);
+        let (candidate, adaptive_self_accepted) =
+            self.candidate(&contributors, injected, masked_round);
         // Ground-truth probe: did the candidate actually pick up the
         // backdoor? (Measured on the attacker's objective, before the
         // accept/reject decision; the defense never sees this.)
-        let candidate_backdoor_accuracy = if poisoned {
-            Some(eval::backdoor_accuracy(
+        let probe = injected.then(|| {
+            eval::backdoor_accuracy(
                 &candidate,
                 self.backdoor_test.features(),
                 self.backdoor.target_class(),
-            ))
-        } else {
-            None
-        };
-
-        // --- Validation phase (Algorithm 1) -----------------------------
-        let defense_active = !matches!(self.config.defense, DefenseMode::Off)
-            && round >= self.config.defense_start_round
-            && self.history.len() >= crate::validate::MIN_HISTORY;
-
-        let (decision, reject_votes, votes_cast, server_vote) = if defense_active {
-            self.validation_phase(&candidate)
-        } else {
-            (Decision::Accepted, 0, 0, None)
-        };
+            )
+        });
+        if !deferred {
+            poll = self.poll(Some(&candidate), &contributors);
+        }
 
         // --- Integration -------------------------------------------------
-        if decision.is_accepted() {
+        // On rejection: G^r ← G^{r−1}; history unchanged (only accepted
+        // models are trusted). A deferred candidate goes in unvoted; the
+        // next round's contributors decide whether it stays.
+        let (poisoned, candidate_backdoor_accuracy) = if deferred {
+            std::mem::replace(&mut self.pending, (injected, probe))
+        } else {
+            (injected, probe)
+        };
+        if deferred || poll.is_none_or(|(tally, ..)| tally.decision.is_accepted()) {
             self.global = candidate;
             self.history.push(self.global.clone());
         }
-        // On rejection: G^r ← G^{r−1}; history unchanged (only accepted
-        // models are trusted).
 
         let (main_accuracy, backdoor_accuracy) = if self.config.track_accuracy {
             (Some(self.main_accuracy()), Some(self.backdoor_accuracy()))
         } else {
             (None, None)
         };
+        let (decision, reject_votes, votes_cast, server_vote) = match poll {
+            Some((tally, votes_cast, server_vote)) => {
+                (tally.decision, tally.reject_votes, votes_cast, server_vote)
+            }
+            None => (Decision::Accepted, 0, 0, None),
+        };
 
         RoundRecord {
             round,
             poisoned,
-            defense_active,
+            defense_active: poll.is_some(),
             decision,
             reject_votes,
             votes_cast,
@@ -815,180 +817,132 @@ impl Simulation {
         }
     }
 
-    /// One round of the deferred-validation variant (§VI-D): the round's
-    /// contributors first vote on the **previous** round's accepted
-    /// model; a rejection rolls it back before training proceeds. The
-    /// returned record's ground truth (`poisoned`,
-    /// `candidate_backdoor_accuracy`) therefore refers to the model the
-    /// vote was about.
-    fn step_deferred(&mut self) -> RoundRecord {
-        self.round_index += 1;
-        let round = self.round_index;
-        let poisoned_now = self.config.poison_rounds.contains(&round);
-
-        let mut contributors = sampling::select_clients(
-            &mut self.rng,
-            self.config.num_clients,
-            self.fl.clients_per_round(),
-        );
-        if poisoned_now && !contributors.contains(&0) {
-            contributors[0] = 0;
-        }
-
-        // --- Deferred vote on the pending (previous) model ----------------
-        // Needs the pending model plus at least MIN_HISTORY predecessors.
-        let defense_active = !matches!(self.config.defense, DefenseMode::Off)
-            && round >= self.config.defense_start_round
-            && self.history.len() > crate::validate::MIN_HISTORY;
-        let decided_poisoned = self.pending_poisoned;
-        let decided_bd_acc = self.pending_bd_acc;
-
-        let (decision, reject_votes, votes_cast, server_vote) = if defense_active {
-            let models = self.history.models();
-            let (pending, prefix) = models.split_last().expect("non-empty history");
-            let (_, prefix_ids) = self.history.ids().split_last().expect("ids parallel to models");
-            let mut votes: Vec<Vote> = Vec::new();
-            if matches!(self.config.defense, DefenseMode::ClientsOnly | DefenseMode::Both) {
-                for &c in &contributors {
-                    let outcome = self.client_engines[c].lock().validate_batched(
-                        pending,
-                        prefix_ids,
-                        prefix,
-                        &self.client_shards[c],
-                    );
-                    let honest = match outcome {
-                        Ok(verdict) => verdict.vote(),
-                        Err(_) => Vote::Accept,
-                    };
-                    let vote = if c < self.config.malicious_clients {
-                        self.config.malicious_voter_behavior.cast(honest)
-                    } else {
-                        honest
-                    };
-                    votes.push(vote);
-                }
-            }
-            let server_vote =
-                if matches!(self.config.defense, DefenseMode::ServerOnly | DefenseMode::Both) {
-                    let outcome = self.server_engine.validate_batched(
-                        pending,
-                        prefix_ids,
-                        prefix,
-                        &self.server_data,
-                    );
-                    let vote = match outcome {
-                        Ok(verdict) => verdict.vote(),
-                        Err(_) => Vote::Accept,
-                    };
-                    votes.push(vote);
-                    Some(vote)
-                } else {
-                    None
-                };
-            let reject_votes = votes.iter().filter(|v| matches!(v, Vote::Reject)).count();
-            let quorum = match self.config.defense {
-                DefenseMode::ServerOnly => 1,
-                _ => self.config.quorum.min(votes.len().max(1)),
-            };
-            let rule = QuorumRule::new(votes.len().max(1), quorum).expect("valid quorum");
-            (rule.decide(&votes), reject_votes, votes.len(), server_vote)
-        } else {
-            (Decision::Accepted, 0, 0, None)
-        };
-
-        // --- Rollback on rejection -----------------------------------------
-        if !decision.is_accepted() {
-            let (retired, _) = self.history.pop().expect("defense ran on non-empty history");
-            // The popped id is retired for good; drop its cache entries
-            // everywhere so the engines never serve a rolled-back model.
-            for engine in &self.client_engines {
-                engine.lock().invalidate(retired);
-            }
-            self.server_engine.invalidate(retired);
-            self.global = self.history.latest().expect("history keeps its root").clone();
-        }
-
-        // --- Training phase (from the possibly rolled-back model) ----------
+    /// One round's candidate global model: the honest contributors train
+    /// on their shards (in parallel), the attacker's update is appended
+    /// when `injected` (its slot, client 0, is left out of the honest
+    /// set), the updates are summed — through a secure-aggregation
+    /// session keyed by `masked_round` when given, in the clear otherwise
+    /// — and FedAvg applies the sum to the current global model. Also
+    /// returns, for adaptive injections, whether the attacker's own
+    /// validator accepted its damped update.
+    fn candidate(
+        &mut self,
+        contributors: &[usize],
+        injected: bool,
+        masked_round: Option<usize>,
+    ) -> (Mlp, Option<bool>) {
+        let honest: Vec<&Dataset> = contributors
+            .iter()
+            .filter(|&&c| !(injected && c == 0))
+            .map(|&c| &self.client_shards[c])
+            .collect();
+        let seed = self.rng.gen::<u64>();
+        let mut updates =
+            baffle_fl::train_clients_parallel(&self.global, &honest, &self.trainer, seed);
         let mut adaptive_self_accepted = None;
-        let mut updates = self.honest_updates(&contributors, poisoned_now);
-        if poisoned_now {
+        if injected {
             let (update, self_accepted) = self.poisoned_update();
             adaptive_self_accepted = self_accepted;
             updates.push(update);
         }
-        let mut sum = vec![0.0; updates[0].len()];
-        for u in &updates {
-            baffle_tensor::ops::axpy(1.0, u, &mut sum);
-        }
+
+        let summed: Vec<f32> = match masked_round {
+            Some(round) => {
+                let session = SecAggSession::new(
+                    self.config.seed ^ round as u64,
+                    updates.len(),
+                    updates[0].len(),
+                );
+                let masked: Vec<Vec<f32>> =
+                    updates.iter().enumerate().map(|(i, u)| session.mask(i, u)).collect();
+                session.aggregate(&masked)
+            }
+            None => {
+                let mut sum = vec![0.0; updates[0].len()];
+                for u in &updates {
+                    baffle_tensor::ops::axpy(1.0, u, &mut sum);
+                }
+                sum
+            }
+        };
         let params =
-            fedavg(&self.global.params(), &[sum], self.fl.global_lr(), self.fl.num_clients());
+            fedavg(&self.global.params(), &[summed], self.fl.global_lr(), self.fl.num_clients());
         let mut candidate = self.global.clone();
         candidate.set_params(&params);
-
-        // The new candidate is integrated immediately; its validation
-        // happens at the start of the next round.
-        self.pending_poisoned = poisoned_now;
-        self.pending_bd_acc = if poisoned_now {
-            Some(eval::backdoor_accuracy(
-                &candidate,
-                self.backdoor_test.features(),
-                self.backdoor.target_class(),
-            ))
-        } else {
-            None
-        };
-        self.global = candidate;
-        self.history.push(self.global.clone());
-
-        let (main_accuracy, backdoor_accuracy) = if self.config.track_accuracy {
-            (Some(self.main_accuracy()), Some(self.backdoor_accuracy()))
-        } else {
-            (None, None)
-        };
-
-        RoundRecord {
-            round,
-            poisoned: decided_poisoned,
-            defense_active,
-            decision,
-            reject_votes,
-            votes_cast,
-            server_vote,
-            main_accuracy,
-            backdoor_accuracy,
-            adaptive_self_accepted,
-            candidate_backdoor_accuracy: decided_bd_acc,
-        }
+        (candidate, adaptive_self_accepted)
     }
 
-    /// Produces the candidate global model of a clean round (used for
-    /// warm-up).
-    fn clean_round_candidate(&mut self) -> Mlp {
-        let contributors = sampling::select_clients(
-            &mut self.rng,
-            self.config.num_clients,
-            self.fl.clients_per_round(),
-        );
-        let updates = self.honest_updates(&contributors, false);
-        let mut sum = vec![0.0; updates[0].len()];
-        for u in &updates {
-            baffle_tensor::ops::axpy(1.0, u, &mut sum);
+    /// The decision step of Algorithm 1 for one model: client votes (in
+    /// parallel), the server's own vote, and the quorum [`tally`] —
+    /// returned with the number of votes cast and the server's vote.
+    /// `Some(candidate)` polls freshly sampled validators on `candidate`
+    /// against the whole history; `None` polls `contributors` on the
+    /// newest history entry against its predecessors (deferred mode,
+    /// where the validators coincide with the contributors).
+    ///
+    /// Returns `None` when the defense does not evaluate this round: it
+    /// is off, has not started yet, or fewer than [`MIN_HISTORY`] models
+    /// precede the one polled.
+    fn poll(
+        &mut self,
+        candidate: Option<&Mlp>,
+        contributors: &[usize],
+    ) -> Option<(Tally, usize, Option<Vote>)> {
+        let defense = self.config.defense;
+        if matches!(defense, DefenseMode::Off) || self.round_index < self.config.defense_start_round
+        {
+            return None;
         }
-        let params =
-            fedavg(&self.global.params(), &[sum], self.fl.global_lr(), self.fl.num_clients());
-        let mut candidate = self.global.clone();
-        candidate.set_params(&params);
-        candidate
-    }
+        let (history, ids) = (self.history.models(), self.history.ids());
+        let (model, history) = match candidate {
+            Some(candidate) => (candidate, history),
+            None => history.split_last()?,
+        };
+        let ids = &ids[..history.len()];
+        if history.len() < MIN_HISTORY {
+            return None;
+        }
 
-    /// Honest contributors' updates (parallel). On poison rounds the
-    /// attacker's slot is excluded here and appended separately.
-    fn honest_updates(&mut self, contributors: &[usize], poisoned: bool) -> Vec<Vec<f32>> {
-        let honest: Vec<usize> =
-            contributors.iter().copied().filter(|&c| !(poisoned && c == 0)).collect();
-        let shards: Vec<&Dataset> = honest.iter().map(|&c| &self.client_shards[c]).collect();
-        let seed = self.rng.gen::<u64>();
-        baffle_fl::train_clients_parallel(&self.global, &shards, &self.trainer, seed)
+        let mut votes: Vec<Vote> = Vec::new();
+        if matches!(defense, DefenseMode::ClientsOnly | DefenseMode::Both) {
+            let validators = match candidate {
+                Some(_) => sampling::select_clients(
+                    &mut self.rng,
+                    self.config.num_clients,
+                    self.config.validators_per_round,
+                ),
+                None => contributors.to_vec(),
+            };
+            let engines = &self.client_engines;
+            let shards = &self.client_shards;
+            let malicious = self.config.malicious_clients;
+            let behavior = self.config.malicious_voter_behavior;
+
+            // One pool task per validator; `parallel_map` returns votes
+            // in validator order, so tallies (and reports) are identical
+            // at any thread count.
+            votes = baffle_tensor::pool::parallel_map(validators, |_, v| {
+                let honest = if v < malicious && !behavior.needs_validation() {
+                    Vote::Accept
+                } else {
+                    engines[v].lock().vote(model, ids, history, &shards[v])
+                };
+                if v < malicious {
+                    behavior.cast(honest)
+                } else {
+                    honest
+                }
+            });
+        }
+        let server_vote = matches!(defense, DefenseMode::ServerOnly | DefenseMode::Both)
+            .then(|| self.server_engine.vote(model, ids, history, &self.server_data));
+        votes.extend(server_vote);
+
+        let quorum = match defense {
+            DefenseMode::ServerOnly => 1,
+            _ => self.config.quorum,
+        };
+        Some((tally(&votes, votes.len(), quorum), votes.len(), server_vote))
     }
 
     /// The attacker's update for a poison round. Returns the update and,
@@ -1038,78 +992,6 @@ impl Simulation {
                 (damped.update, Some(damped.self_accepted))
             }
         }
-    }
-
-    /// Runs the feedback loop for one candidate model: client votes
-    /// (parallel) plus optionally the server's own vote.
-    fn validation_phase(&mut self, candidate: &Mlp) -> (Decision, usize, usize, Option<Vote>) {
-        let mut votes: Vec<Vote> = Vec::new();
-
-        if matches!(self.config.defense, DefenseMode::ClientsOnly | DefenseMode::Both) {
-            let validators = sampling::select_clients(
-                &mut self.rng,
-                self.config.num_clients,
-                self.config.validators_per_round,
-            );
-            let history = self.history.models();
-            let ids = self.history.ids();
-            let engines = &self.client_engines;
-            let shards = &self.client_shards;
-            let malicious = self.config.malicious_clients;
-            let behavior = self.config.malicious_voter_behavior;
-
-            // One pool task per validator; `parallel_map` returns votes
-            // in validator order, so tallies (and reports) are identical
-            // at any thread count.
-            let collected = baffle_tensor::pool::parallel_map(validators, |_, v| {
-                if v < malicious && !behavior.needs_validation() {
-                    behavior.cast(Vote::Accept)
-                } else {
-                    let outcome =
-                        engines[v].lock().validate_batched(candidate, ids, history, &shards[v]);
-                    let honest = match outcome {
-                        Ok(verdict) => verdict.vote(),
-                        // A client that cannot judge abstains
-                        // (counts as accept, footnote 1).
-                        Err(_) => Vote::Accept,
-                    };
-                    if v < malicious {
-                        behavior.cast(honest)
-                    } else {
-                        honest
-                    }
-                }
-            });
-            votes.extend(collected);
-        }
-
-        let server_vote =
-            if matches!(self.config.defense, DefenseMode::ServerOnly | DefenseMode::Both) {
-                let outcome = self.server_engine.validate_batched(
-                    candidate,
-                    self.history.ids(),
-                    self.history.models(),
-                    &self.server_data,
-                );
-                let vote = match outcome {
-                    Ok(verdict) => verdict.vote(),
-                    Err(_) => Vote::Accept,
-                };
-                votes.push(vote);
-                Some(vote)
-            } else {
-                None
-            };
-
-        let reject_votes = votes.iter().filter(|v| matches!(v, Vote::Reject)).count();
-        let quorum = match self.config.defense {
-            DefenseMode::ServerOnly => 1,
-            _ => self.config.quorum,
-        };
-        let rule = QuorumRule::new(votes.len().max(1), quorum.min(votes.len().max(1)))
-            .expect("quorum validated in new()");
-        let decision = rule.decide(&votes);
-        (decision, reject_votes, votes.len(), server_vote)
     }
 
     /// Generates a fresh batch of backdoor test instances (used by
@@ -1211,6 +1093,33 @@ mod tests {
         let dp: Vec<_> = rp.records.iter().map(|r| r.decision).collect();
         let dm: Vec<_> = rm.records.iter().map(|r| r.decision).collect();
         assert_eq!(dp, dm);
+    }
+
+    #[test]
+    fn deferred_mode_aggregates_through_secagg_too() {
+        let mut plain_cfg = SimulationConfig::cifar_like_small(6);
+        plain_cfg.deferred_validation = true;
+        plain_cfg.poison_rounds = vec![5];
+        let mut secagg_cfg = plain_cfg.clone();
+        secagg_cfg.use_secagg = true;
+
+        let mut plain = Simulation::new(plain_cfg);
+        let mut masked = Simulation::new(secagg_cfg);
+        let rp = plain.run();
+        let rm = masked.run();
+        let dp: Vec<_> = rp.records.iter().map(|r| r.decision).collect();
+        let dm: Vec<_> = rm.records.iter().map(|r| r.decision).collect();
+        assert_eq!(dp, dm);
+        assert_eq!((rp.false_negatives(), rm.false_negatives()), (0, 0));
+        // Masks cancel up to float rounding: the two runs end within
+        // 1e-5 of each other, and differ in bits only if a session
+        // actually masked the updates.
+        let (pp, pm) = (plain.global_model().params(), masked.global_model().params());
+        assert!(pp.iter().zip(&pm).all(|(a, b)| (a - b).abs() < 1e-5));
+        assert!(
+            pp.iter().zip(&pm).any(|(a, b)| a.to_bits() != b.to_bits()),
+            "use_secagg left the deferred aggregate bit-identical: no session was built"
+        );
     }
 
     #[test]

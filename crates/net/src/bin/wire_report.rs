@@ -18,7 +18,7 @@
 //! quantised history shipping (q4 dense, or the top-k chain in steady
 //! state) must undercut lossless f32 by at least 4×.
 //!
-//! Run with `cargo run --release -p baffle-bench --bin wire_report`.
+//! Run with `cargo run --release -p baffle-net --bin wire_report`.
 
 use baffle_fl::WireProfile;
 use baffle_net::deployment::{Deployment, DeploymentConfig, DeploymentOutcome};
@@ -26,7 +26,7 @@ use baffle_net::fault::FaultPlan;
 use baffle_net::message::{Message, NodeId};
 use baffle_net::socket::{SocketKind, TransportMode};
 use baffle_net::transport::Network;
-use baffle_nn::wire::{self, Codec};
+use baffle_nn::wire::Codec;
 use baffle_tensor::pool;
 use std::time::Instant;
 

@@ -266,28 +266,19 @@ impl DeploymentParts {
     ///
     /// Panics if `id` has no spec or is currently registered.
     pub fn client_actor(&self, id: usize) -> (Endpoint, Client) {
-        let spec = &self.specs[id];
-        assert_eq!(spec.id, id, "specs must be indexed by id");
-        let endpoint = self.network.register(NodeId(id as u32));
-        let outbox = endpoint.outbox();
-        let client = Client::new(
-            outbox,
-            Arc::clone(&spec.data),
-            LocalTrainer::from_config(&self.fl),
-            self.validator,
-            spec.role.clone(),
-            self.history_window,
-            Arc::clone(&self.template),
-            self.server_config.wire,
-            spec.seed,
-        );
+        assert_eq!(self.specs[id].id, id, "specs must be indexed by id");
+        let node = NodeId(id as u32);
+        let endpoint = self.network.register(node);
+        let client = self.client_factory()(node, endpoint.outbox());
         (endpoint, client)
     }
 
-    /// The state-machine factory the scheduler uses for the initial
-    /// population and for every scripted restart. Owns clones of the
-    /// (Arc-shared) specs so it can outlive `self` on the scheduler
-    /// thread.
+    /// Builds a client state machine from its spec — the one place a
+    /// deployment constructs a [`Client`]: the scheduler calls it for the
+    /// initial population and for every scripted restart,
+    /// [`DeploymentParts::client_actor`] for a hand-driven actor. Owns
+    /// clones of the (Arc-shared) specs so it can outlive `self` on the
+    /// scheduler thread.
     fn client_factory(&self) -> ClientFactory {
         let specs = self.specs.clone();
         let trainer = LocalTrainer::from_config(&self.fl);
@@ -325,17 +316,7 @@ impl DeploymentParts {
 
         let mut rounds = Vec::with_capacity(self.config.rounds as usize);
         for r in 1..=self.config.rounds {
-            self.network.begin_round(r);
-            for node in events.crashes_at(r) {
-                // Crash-stop: the machine is dropped after draining what
-                // was already delivered, and the route disappears.
-                scheduler.crash(node);
-            }
-            for node in events.restarts_at(r) {
-                // A restarted client is a fresh process: empty history
-                // cache, fresh RNG — only its shard survives.
-                scheduler.restart(node);
-            }
+            begin_round(&self.network, &scheduler, &events, r);
             rounds.push(self.server.run_round());
         }
         self.server.shutdown();
@@ -358,7 +339,12 @@ impl DeploymentParts {
             for spec in &self.specs {
                 let (endpoint, mut client) = self.client_actor(spec.id);
                 let reports = &reports;
-                scope.spawn(move |_| reports.lock().push(client.run(&endpoint)));
+                scope.spawn(move |_| {
+                    // Run first, lock after: a guard taken before `run`
+                    // would park every other client until shutdown.
+                    let report = client.run(&endpoint);
+                    reports.lock().push(report);
+                });
             }
 
             for r in 1..=self.config.rounds {
@@ -371,7 +357,10 @@ impl DeploymentParts {
                 for node in events.restarts_at(r) {
                     let (endpoint, mut client) = self.client_actor(node.0 as usize);
                     let reports = &reports;
-                    scope.spawn(move |_| reports.lock().push(client.run(&endpoint)));
+                    scope.spawn(move |_| {
+                        let report = client.run(&endpoint);
+                        reports.lock().push(report);
+                    });
                 }
                 rounds.push(self.server.run_round());
             }
@@ -431,13 +420,7 @@ impl DeploymentParts {
 
         let mut rounds = Vec::with_capacity(self.config.rounds as usize);
         for r in 1..crash_round {
-            self.network.begin_round(r);
-            for node in events.crashes_at(r) {
-                scheduler.crash(node);
-            }
-            for node in events.restarts_at(r) {
-                scheduler.restart(node);
-            }
+            begin_round(&self.network, &scheduler, &events, r);
             rounds.push(primary.run_round().expect("journal round"));
             standby.catch_up().expect("standby catch-up");
         }
@@ -445,13 +428,7 @@ impl DeploymentParts {
         // The doomed round: scripted events still fire (the crash does
         // not suspend the chaos plan), the pre-round state is captured
         // as the recovery target, and the outcome record never lands.
-        self.network.begin_round(crash_round);
-        for node in events.crashes_at(crash_round) {
-            scheduler.crash(node);
-        }
-        for node in events.restarts_at(crash_round) {
-            scheduler.restart(node);
-        }
+        begin_round(&self.network, &scheduler, &events, crash_round);
         let pre_crash_checkpoint = primary.server().checkpoint();
         let torn_round = primary.run_round_torn().expect("journal torn round start");
         let crash_at = Instant::now();
@@ -474,16 +451,12 @@ impl DeploymentParts {
 
         let mut recovery = None;
         for r in crash_round..=self.config.rounds {
-            self.network.begin_round(r);
-            if r != crash_round {
+            if r == crash_round {
                 // The torn round's scripted events already fired on the
                 // first ask; the re-run must not apply them twice.
-                for node in events.crashes_at(r) {
-                    scheduler.crash(node);
-                }
-                for node in events.restarts_at(r) {
-                    scheduler.restart(node);
-                }
+                self.network.begin_round(r);
+            } else {
+                begin_round(&self.network, &scheduler, &events, r);
             }
             let round = primary.run_round().expect("journal round");
             if recovery.is_none() && round.accepted {
@@ -532,6 +505,22 @@ impl DeploymentParts {
             wire_frames: self.network.wire_frames(),
             client_reports,
         }
+    }
+}
+
+/// Opens round `r` on the scheduler path: scopes the fault plan's
+/// scripted events to it and fires its crash/restart events.
+fn begin_round(network: &Network, scheduler: &SchedulerHandle, events: &FaultPlan, r: u64) {
+    network.begin_round(r);
+    for node in events.crashes_at(r) {
+        // Crash-stop: the machine is dropped after draining what was
+        // already delivered, and the route disappears.
+        scheduler.crash(node);
+    }
+    for node in events.restarts_at(r) {
+        // A restarted client is a fresh process: empty history cache,
+        // fresh RNG — only its shard survives.
+        scheduler.restart(node);
     }
 }
 

@@ -299,8 +299,13 @@ impl FaultPlan {
         let policy = |p: &LinkPolicy| {
             format!(
                 "drop {:.2} · delay {:?}+{:?} · dup {:.2} · reorder {:.2}@{:?} · corrupt {:.2}",
-                p.drop_prob, p.delay, p.jitter, p.duplicate_prob, p.reorder_prob,
-                p.reorder_window, p.corrupt_prob
+                p.drop_prob,
+                p.delay,
+                p.jitter,
+                p.duplicate_prob,
+                p.reorder_prob,
+                p.reorder_window,
+                p.corrupt_prob
             )
         };
         let mut out =

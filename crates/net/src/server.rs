@@ -4,7 +4,7 @@ use crate::message::{AbstainReason, HistoryEntry, Message, NodeId};
 use crate::phase::PhaseLedger;
 use crate::transport::Endpoint;
 use baffle_attack::voting::Vote;
-use baffle_core::{Decision, ModelHistory, QuorumRule, ValidationEngine, Validator};
+use baffle_core::{tally, ModelHistory, Tally, ValidationEngine, Validator};
 use baffle_data::Dataset;
 use baffle_fl::history_sync::{HistorySync, ModelId};
 use baffle_fl::{fedavg, sampling, FlConfig, HistoryCodec, WireProfile};
@@ -15,7 +15,7 @@ use crossbeam::channel::RecvTimeoutError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{HashMap, VecDeque};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Server-side protocol parameters.
 #[derive(Debug, Clone)]
@@ -53,7 +53,7 @@ pub struct ServerConfig {
 }
 
 /// What happened in one protocol round, as observed by the server.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServerRound {
     /// Round number (1-based).
     pub round: u64,
@@ -150,28 +150,33 @@ const CHECKPOINT_VERSION: u32 = 2;
 /// Bytes before the checksummed body: magic, version, checksum.
 const CHECKPOINT_HEADER: usize = 12;
 
-/// One accepted model as it goes out to validators: its dense encoding
-/// under the profile's history codec, plus — under a top-k profile — the
-/// sparse delta against its predecessor. Cached per accepted model so
-/// shipping the same entry to many validators encodes it once.
+/// One accepted model of the trusted window, in every encoding the
+/// server hands out: the lossless one checkpoints are made of, and — so
+/// that shipping the same entry to many validators encodes it once —
+/// its wire forms under the profile's history codec.
 #[derive(Debug, Clone)]
-struct ShipEntry {
+struct WindowEntry {
     id: ModelId,
-    /// Self-contained encoding (chain heads, full re-ships).
+    /// Lossless `f32` encoding — the checkpoint format. Trusted state is
+    /// never quantised, whatever the wire profile.
+    lossless: Bytes,
+    /// Self-contained wire encoding (chain heads, full re-ships).
     full: Bytes,
-    /// Sparse delta against model `id - 1`, when the profile chains and
-    /// the delta was encodable.
+    /// Sparse wire delta against model `id - 1`, when the profile chains
+    /// and the delta was encodable.
     delta: Option<Bytes>,
 }
 
-/// Builds the wire cache entry for an accepted model. `prev` is the
-/// previous global model's parameters (`None` for the very first entry).
-fn build_ship_entry(
+/// Builds the window entry for an accepted model. `prev` is the previous
+/// global model's parameters (`None` for the very first entry);
+/// `lossless` is `params` in the `f32` wire format.
+fn window_entry(
     wire_profile: &WireProfile,
     id: ModelId,
     prev: Option<&[f32]>,
     params: &[f32],
-) -> ShipEntry {
+    lossless: Bytes,
+) -> WindowEntry {
     let codec = match wire_profile.history {
         HistoryCodec::Dense(codec) => codec,
         HistoryCodec::TopKChain { codec, .. } => codec,
@@ -185,7 +190,7 @@ fn build_ship_entry(
         }
         _ => None,
     };
-    ShipEntry { id, full: codec.encode(params), delta }
+    WindowEntry { id, lossless, full: codec.encode(params), delta }
 }
 
 /// Little-endian cursor over a checkpoint buffer.
@@ -226,11 +231,10 @@ pub struct Server {
     /// accepted at intake (anything else would panic `fedavg`).
     param_len: usize,
     history: ModelHistory,
-    /// Trusted lossless (`f32`) window — the checkpoint format.
-    history_entries: VecDeque<HistoryEntry>,
-    /// Wire encodings of the same window under the configured profile,
-    /// kept in lockstep with `history_entries`.
-    ship_cache: VecDeque<ShipEntry>,
+    /// The encodings of `history`'s models, entry for entry. Written by
+    /// [`Server::new`], [`Server::restore`] and [`Server::integrate`]
+    /// only.
+    window: VecDeque<WindowEntry>,
     sync: HistorySync,
     engine: ValidationEngine,
     server_data: Dataset,
@@ -256,20 +260,20 @@ impl Server {
         // assigned in lockstep: both count acceptances from zero.
         debug_assert_eq!(hist_id, first_id);
         let initial_params = initial_model.params();
-        let history_entries = VecDeque::from(vec![HistoryEntry {
-            id: first_id,
-            params: wire::encode_f32(&initial_params),
-        }]);
-        let ship_cache =
-            VecDeque::from(vec![build_ship_entry(&config.wire, first_id, None, &initial_params)]);
+        let window = VecDeque::from([window_entry(
+            &config.wire,
+            first_id,
+            None,
+            &initial_params,
+            wire::encode_f32(&initial_params),
+        )]);
         Self {
             endpoint,
             config,
             param_len: initial_model.num_params(),
             global: initial_model,
             history,
-            history_entries,
-            ship_cache,
+            window,
             sync,
             engine: ValidationEngine::new(validator),
             server_data,
@@ -316,12 +320,12 @@ impl Server {
     }
 
     /// Integrates one journaled round outcome during WAL replay, without
-    /// running the protocol: advances the round counter and, for an
-    /// accepted round, installs the journaled global model into the
-    /// history/ship-cache/sync state exactly as the live integration
-    /// step would have; then re-applies the round's sync-map commits and
-    /// resets. The replay layer (`net::wal`) validates records before
-    /// calling — this method only integrates.
+    /// running the protocol: advances the round counter, installs an
+    /// accepted round's journaled global model through
+    /// [`Server::integrate`] — the live round's own integration step —
+    /// and re-applies the round's sync-map commits and resets. The
+    /// replay layer (`net::wal`) validates records before calling — this
+    /// method only integrates.
     ///
     /// # Panics
     ///
@@ -339,22 +343,7 @@ impl Server {
         self.round = round;
         if let Some(params) = accepted_params {
             assert_eq!(params.len(), self.param_len, "replayed model must match architecture");
-            let prev_params = self.global.params();
-            self.global.set_params(params);
-            let hist_id = self.history.push(self.global.clone());
-            let id = self.sync.push_accepted();
-            debug_assert_eq!(hist_id, id, "history and sync ids must stay in lockstep");
-            self.history_entries.push_back(HistoryEntry { id, params: wire::encode_f32(params) });
-            self.ship_cache.push_back(build_ship_entry(
-                &self.config.wire,
-                id,
-                Some(&prev_params),
-                params,
-            ));
-            if self.history_entries.len() > self.history.capacity() {
-                self.history_entries.pop_front();
-                self.ship_cache.pop_front();
-            }
+            self.integrate(params);
         }
         // Resets before commits: a round can reset a gapped validator it
         // never re-shipped, but it cannot commit and then reset the same
@@ -364,6 +353,30 @@ impl Server {
         }
         for &(client, id) in commits {
             self.sync.commit(client, id);
+        }
+    }
+
+    /// `G^r ← G'`: installs accepted parameters as the global model and
+    /// appends them to the trusted history, the window and the sync
+    /// bookkeeping, evicting the oldest window entry with the oldest
+    /// history model. The one function that extends the server's history
+    /// — a live round and a replayed one reach the same state because
+    /// they get there through the same code.
+    fn integrate(&mut self, params: &[f32]) {
+        let prev_params = self.global.params();
+        self.global.set_params(params);
+        let hist_id = self.history.push(self.global.clone());
+        let id = self.sync.push_accepted();
+        debug_assert_eq!(hist_id, id, "history and sync ids must stay in lockstep");
+        self.window.push_back(window_entry(
+            &self.config.wire,
+            id,
+            Some(&prev_params),
+            params,
+            wire::encode_f32(params),
+        ));
+        if self.window.len() > self.history.capacity() {
+            self.window.pop_front();
         }
     }
 
@@ -384,11 +397,11 @@ impl Server {
         buf.extend_from_slice(&0u32.to_le_bytes());
         buf.extend_from_slice(&self.round.to_le_bytes());
         buf.extend_from_slice(&self.sync.accepted().to_le_bytes());
-        buf.extend_from_slice(&(self.history_entries.len() as u32).to_le_bytes());
-        for entry in &self.history_entries {
+        buf.extend_from_slice(&(self.window.len() as u32).to_le_bytes());
+        for entry in &self.window {
             buf.extend_from_slice(&entry.id.to_le_bytes());
-            buf.extend_from_slice(&(entry.params.len() as u64).to_le_bytes());
-            buf.extend_from_slice(&entry.params);
+            buf.extend_from_slice(&(entry.lossless.len() as u64).to_le_bytes());
+            buf.extend_from_slice(&entry.lossless);
         }
         let committed = self.sync.committed();
         buf.extend_from_slice(&(committed.len() as u32).to_le_bytes());
@@ -448,7 +461,7 @@ impl Server {
         let param_len = template.num_params();
         // The wire-format walk is inherently serial (each entry's length
         // prefix locates the next), but everything per-entry after it —
-        // float decode, `set_params`, ship-entry encode — is independent
+        // float decode, `set_params`, window-entry encode — is independent
         // and fans out across the worker pool. A parse error at entry k
         // is held back until entries `0..k` pass their own checks, so the
         // surfaced error matches the old interleaved loop exactly.
@@ -487,23 +500,19 @@ impl Server {
             return Err(e);
         }
         // Every entry is now validated: rebuild the per-entry state in
-        // one parallel sweep (ship entry i only needs entry i−1's
-        // decoded params, which are all in hand).
+        // one parallel sweep (window entry i only needs entry i−1's
+        // decoded params, which are all in hand). The checkpoint's own
+        // bytes are the lossless encoding — nothing is re-encoded.
         let rebuilt = pool::parallel_map((0..raw.len()).collect(), |_, i| {
-            let id = raw[i].0;
+            let (id, lossless) = raw[i];
             let mut model = template.clone();
             model.set_params(&decoded[i]);
             let prev = if i == 0 { None } else { Some(decoded[i - 1].as_slice()) };
-            (id, model, build_ship_entry(&config.wire, id, prev, &decoded[i]))
+            let lossless = Bytes::copy_from_slice(lossless);
+            ((id, model), window_entry(&config.wire, id, prev, &decoded[i], lossless))
         });
-        let mut history_entries = VecDeque::with_capacity(n_entries);
-        let mut ship_cache = VecDeque::with_capacity(n_entries);
-        let mut models = Vec::with_capacity(n_entries);
-        for ((id, model, ship), &(_, params)) in rebuilt.into_iter().zip(&raw) {
-            history_entries.push_back(HistoryEntry { id, params: Bytes::copy_from_slice(params) });
-            ship_cache.push_back(ship);
-            models.push((id, model));
-        }
+        let (models, window): (Vec<(ModelId, Mlp)>, VecDeque<WindowEntry>) =
+            rebuilt.into_iter().unzip();
         let newest = models.last().expect("n_entries >= 1").0;
         if newest + 1 != accepted {
             return Err(CheckpointError::new("history newest id inconsistent with accepted count"));
@@ -525,8 +534,7 @@ impl Server {
             param_len,
             global,
             history: ModelHistory::from_entries(history_window, models),
-            history_entries,
-            ship_cache,
+            window,
             sync: HistorySync::restore(history_window, accepted, committed),
             engine: ValidationEngine::new(validator),
             server_data,
@@ -568,31 +576,25 @@ impl Server {
                 Message::TrainRequest { round, global: global_bytes.clone() },
             );
         }
+        let phase_start = Instant::now();
         let (updates, update_tally) = self.collect_updates(round, &contributors);
-        let updates_received = updates.len();
+        let mut out = ServerRound {
+            round,
+            updates_received: updates.len(),
+            rejected_submissions: update_tally.rejected,
+            abstentions: update_tally.abstentions,
+            corrupted_payloads: update_tally.corrupted,
+            duplicate_deliveries: update_tally.duplicates,
+            transport_lost: update_tally.lost,
+            update_phase: phase_start.elapsed(),
+            ..ServerRound::default()
+        };
 
         // A round with no surviving updates is skipped entirely — and,
         // thanks to the phase ledger, without waiting out the timeout
         // when every contributor was rejected or abstained.
         if updates.is_empty() {
-            return ServerRound {
-                round,
-                accepted: false,
-                updates_received: 0,
-                votes_received: 0,
-                reject_votes: 0,
-                rejected_submissions: update_tally.rejected,
-                rejected_votes: 0,
-                abstentions: update_tally.abstentions,
-                corrupted_payloads: update_tally.corrupted,
-                duplicate_deliveries: update_tally.duplicates,
-                evicted_resyncs: 0,
-                transport_lost: update_tally.lost,
-                quorum_clamped: false,
-                update_phase: update_tally.elapsed,
-                vote_phase: Duration::ZERO,
-                history_bytes_shipped: 0,
-            };
+            return out;
         }
 
         // --- Aggregation ---------------------------------------------------
@@ -606,8 +608,6 @@ impl Server {
             self.config.fl.global_lr(),
             self.config.fl.num_clients(),
         );
-        let mut candidate = self.global.clone();
-        candidate.set_params(&candidate_params);
 
         // --- Validation phase (Algorithm 1) --------------------------------
         let validators = sampling::select_clients(
@@ -616,12 +616,10 @@ impl Server {
             self.config.validators_per_round,
         );
         let candidate_bytes = self.config.wire.model.encode(&candidate_params);
-        let mut history_bytes_shipped = 0usize;
-        let mut evicted_resyncs = 0usize;
         for &v in &validators {
             let (delta, resynced) = self.validator_delta(v);
-            evicted_resyncs += usize::from(resynced);
-            history_bytes_shipped += delta.iter().map(|e| e.params.len()).sum::<usize>();
+            out.evicted_resyncs += usize::from(resynced);
+            out.history_bytes_shipped += delta.iter().map(|e| e.params.len()).sum::<usize>();
             // Shipped, not yet committed: the sync point only advances
             // when this validator answers for this round (vote or
             // abstention). If the request vanishes in flight, the same
@@ -640,87 +638,61 @@ impl Server {
         // history and its holdout, so it is computed while the validators
         // work rather than after the last of them has answered.
         let own = self.config.server_votes.then(|| {
-            self.engine
-                .validate_batched(
-                    &candidate,
-                    self.history.ids(),
-                    self.history.models(),
-                    &self.server_data,
-                )
-                .map_or(Vote::Accept, |verdict| verdict.vote())
+            let mut candidate = self.global.clone();
+            candidate.set_params(&candidate_params);
+            self.engine.vote(
+                &candidate,
+                self.history.ids(),
+                self.history.models(),
+                &self.server_data,
+            )
         });
-        let outcome = self.collect_votes(round, &validators);
-        let VotePhase { mut votes, tally: vote_tally, heard, gapped } = outcome;
-        for &v in &validators {
-            let node = NodeId(v as u32);
-            if gapped.contains(&node) {
+        let phase_start = Instant::now();
+        let (replies, vote_tally) = self.collect(round, &validators, Phase::Vote);
+        out.vote_phase = phase_start.elapsed();
+        let mut votes: Vec<Vote> = Vec::new();
+        for (from, reply) in replies {
+            let v = from.0 as usize;
+            match reply {
+                Reply::Vote(vote) => votes.push(vote),
                 // The validator declared its cached window unusable
                 // (crash/restart or a corruption-induced gap): forget its
                 // sync state so the next selection re-ships everything.
-                self.sync.reset(v);
-            } else if heard.contains(&node) {
-                // Any answer proves the ValidateRequest — and therefore
-                // the history delta — arrived intact.
-                self.sync.ack(v);
+                Reply::Abstain(AbstainReason::HistoryTooShort) => {
+                    self.sync.reset(v);
+                    continue;
+                }
+                Reply::Abstain(_) | Reply::Update(_) => {}
             }
-            // Silent validators stay unacknowledged: the shipment is
-            // treated as lost and re-sent at their next selection.
+            // Any other answer proves the ValidateRequest — and therefore
+            // the history delta — arrived intact. Silent validators stay
+            // unacknowledged: the shipment is treated as lost and re-sent
+            // at their next selection.
+            self.sync.ack(v);
         }
+        out.votes_received = votes.len();
+        out.rejected_votes = vote_tally.rejected;
+        out.abstentions += vote_tally.abstentions;
+        out.duplicate_deliveries += vote_tally.duplicates;
+        out.transport_lost |= vote_tally.lost;
+
         votes.extend(own);
-        let reject_votes = votes.iter().filter(|v| matches!(v, Vote::Reject)).count();
         let voters = validators.len() + usize::from(self.config.server_votes);
-        let effective_quorum = self.config.quorum.min(voters.max(1));
-        let quorum_clamped = effective_quorum != self.config.quorum;
-        let rule = QuorumRule::new(voters.max(1), effective_quorum).expect("valid quorum");
-        let decision = rule.decide(&votes);
+        let Tally { decision, reject_votes, quorum_clamped } =
+            tally(&votes, voters, self.config.quorum);
+        out.accepted = decision.is_accepted();
+        out.reject_votes = reject_votes;
+        out.quorum_clamped = quorum_clamped;
 
         // --- Integration ----------------------------------------------------
-        if decision == Decision::Accepted {
-            let prev_params = self.global.params();
-            self.global = candidate;
-            let hist_id = self.history.push(self.global.clone());
-            let id = self.sync.push_accepted();
-            debug_assert_eq!(hist_id, id, "history and sync ids must stay in lockstep");
-            // Trusted state stays lossless regardless of the wire
-            // profile — the checkpoint format never quantises.
-            self.history_entries
-                .push_back(HistoryEntry { id, params: wire::encode_f32(&candidate_params) });
-            self.ship_cache.push_back(build_ship_entry(
-                &self.config.wire,
-                id,
-                Some(&prev_params),
-                &candidate_params,
-            ));
-            if self.history_entries.len() > self.history.capacity() {
-                self.history_entries.pop_front();
-                self.ship_cache.pop_front();
-            }
+        if out.accepted {
+            self.integrate(&candidate_params);
         }
         for &c in contributors.iter().chain(&validators) {
-            self.endpoint.send(
-                NodeId(c as u32),
-                Message::RoundResult { round, accepted: decision.is_accepted() },
-            );
+            self.endpoint
+                .send(NodeId(c as u32), Message::RoundResult { round, accepted: out.accepted });
         }
-
-        ServerRound {
-            round,
-            accepted: decision.is_accepted(),
-            updates_received,
-            votes_received: votes.len() - usize::from(self.config.server_votes),
-            reject_votes,
-            rejected_submissions: update_tally.rejected,
-            rejected_votes: vote_tally.rejected,
-            abstentions: update_tally.abstentions + vote_tally.abstentions,
-            corrupted_payloads: update_tally.corrupted + vote_tally.corrupted,
-            duplicate_deliveries: update_tally.duplicates + vote_tally.duplicates,
-            evicted_resyncs,
-            transport_lost: update_tally.lost || vote_tally.lost,
-            quorum_clamped,
-            update_phase: update_tally.elapsed,
-            vote_phase: vote_tally.elapsed,
-            history_bytes_shipped,
-        }
+        out
     }
 
     /// Builds validator `v`'s outgoing history delta. A committed sync
@@ -748,7 +720,7 @@ impl Server {
         let mut on_chain = wanted.start > 0 && self.sync.sync_point(v) == Some(wanted.start);
         let delta: Vec<HistoryEntry> = wanted
             .clone()
-            .filter_map(|id| self.ship_cache.iter().find(|e| e.id == id))
+            .filter_map(|id| self.window.iter().find(|e| e.id == id))
             .map(|e| {
                 let params = if on_chain {
                     e.delta.clone().unwrap_or_else(|| e.full.clone())
@@ -776,95 +748,53 @@ impl Server {
         }
     }
 
-    /// Collects update submissions for `round` until every sampled
-    /// contributor is **accounted for** in the phase ledger (answered,
-    /// rejected at intake, or explicitly abstained) or the phase timeout
-    /// expires. Returns the surviving updates plus the phase tally.
-    ///
-    /// An update survives only if **all** of these hold — the protocol's
+    /// Collects one phase's replies for `round` until every node in
+    /// `expected` — the phase's sampled set — is **accounted for** in the
+    /// phase ledger (answered, rejected at intake, or explicitly
+    /// abstained) or the phase timeout expires. Returns the surviving
+    /// replies in arrival order plus the phase tally. Both phases apply
+    /// the same intake rules, in this order — the protocol's
     /// random-sampling defense is void without them:
     ///
-    /// - the sender is in this round's sampled contributor set (an
-    ///   unsolicited update must not reach FedAvg);
+    /// - the message is the phase's kind ([`Message::UpdateSubmission`]
+    ///   or [`Message::VoteSubmission`]) or an [`Message::Abstain`] whose
+    ///   reason belongs to the phase; anything else is ignored;
+    /// - it is for this `round` — stale-round stragglers are dropped
+    ///   silently (losing a race is not an intake violation);
     /// - the claimed `from` matches the transport envelope's sender (no
-    ///   impersonating a sampled client);
+    ///   impersonating a sampled node) and is in the sampled set (an
+    ///   unsolicited update must not reach FedAvg, an unsolicited vote
+    ///   must not stuff the quorum). A violation is counted as rejected
+    ///   and settles the **envelope** sender's slot, if it has one: a
+    ///   misbehaving sampled node has been heard from, so the phase no
+    ///   longer waits on it, while traffic from outside the sampled set
+    ///   never touches the ledger — rogues cannot drain the phase;
     /// - the sender has not already settled its slot — the **first**
-    ///   delivery wins; repeats are counted as duplicate deliveries, not
-    ///   rejections, since a duplicating link is indistinguishable from a
-    ///   duplicating sender;
-    /// - the payload decodes to exactly `param_len` floats (a truncated
-    ///   update would panic the aggregation — a remote DoS). A payload
-    ///   whose wire **checksum** fails is booked as link corruption, not
-    ///   sender misbehaviour — the honest sender encoded it correctly.
+    ///   delivery wins; a repeat (a duplicated message, a vote after an
+    ///   abstention) is counted as a duplicate delivery, not a rejection,
+    ///   since a duplicating link is indistinguishable from a duplicating
+    ///   sender.
     ///
-    /// A misbehaving *sampled* sender settles its ledger slot as
-    /// `Rejected`: it has been heard from, so the phase no longer waits
-    /// on it. Traffic from outside the sampled set never touches the
-    /// ledger — rogues cannot drain the phase.
-    ///
-    /// Payload decoding is deferred out of the receive loop: the loop
-    /// only settles ledger slots and stashes the raw bytes in arrival
-    /// order, then the decodes fan out across the worker pool and the
-    /// verdicts are folded back serially in that same arrival order, so
-    /// the tally is identical to the inline-decode path.
-    fn collect_updates(
+    /// An explicit abstention settles the slot without a payload: in the
+    /// vote phase it is the footnote-1 implicit accept, and the phase
+    /// stops waiting for that validator.
+    fn collect(
         &self,
         round: u64,
-        contributors: &[usize],
-    ) -> (HashMap<NodeId, Vec<f32>>, PhaseTally) {
-        let mut ledger = PhaseLedger::new(contributors.iter().map(|&c| NodeId(c as u32)));
-        let mut submissions: Vec<(NodeId, Bytes)> = Vec::new();
+        expected: &[usize],
+        phase: Phase,
+    ) -> (Vec<(NodeId, Reply)>, PhaseTally) {
+        let mut ledger = PhaseLedger::new(expected.iter().map(|&c| NodeId(c as u32)));
+        let mut replies = Vec::new();
         let mut tally = PhaseTally::default();
-        let start = std::time::Instant::now();
-        let deadline = start + self.config.phase_timeout;
+        let deadline = Instant::now() + self.config.phase_timeout;
         while !ledger.all_accounted() {
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
+            let remaining = deadline.saturating_duration_since(Instant::now());
             if remaining.is_zero() {
                 break;
             }
-            match self.endpoint.recv_timeout(remaining) {
-                Ok(env) => match env.message {
-                    Message::UpdateSubmission { round: r, from, update } => {
-                        if r != round {
-                            // Stale-round stragglers are dropped silently.
-                            continue;
-                        }
-                        if from != env.from || !ledger.contains(from) {
-                            tally.rejected += 1;
-                            ledger.mark_rejected(env.from);
-                            continue;
-                        }
-                        if !ledger.is_pending(from) {
-                            // Repeat delivery to a settled slot: the
-                            // first delivery won.
-                            tally.duplicates += 1;
-                            continue;
-                        }
-                        // First delivery from a sampled sender: the slot
-                        // settles now (the phase stops waiting on it)
-                        // and the payload is parsed after the loop. The
-                        // ledger is phase-local, so whether a bad decode
-                        // books it answered or rejected is unobservable.
-                        submissions.push((from, update));
-                        ledger.mark_answered(from);
-                    }
-                    Message::Abstain { round: r, from, reason } => {
-                        if r != round || !reason.is_train_phase() {
-                            continue;
-                        }
-                        if from != env.from || !ledger.contains(from) {
-                            tally.rejected += 1;
-                            ledger.mark_rejected(env.from);
-                            continue;
-                        }
-                        if ledger.mark_abstained(from) {
-                            tally.abstentions += 1;
-                        } else {
-                            tally.duplicates += 1;
-                        }
-                    }
-                    _ => {}
-                },
+            let env = match self.endpoint.recv_timeout(remaining) {
+                Ok(env) => env,
                 Err(RecvTimeoutError::Timeout) => break,
                 Err(RecvTimeoutError::Disconnected) => {
                     // Not a straggler problem: the transport itself is
@@ -873,10 +803,69 @@ impl Server {
                     tally.lost = true;
                     break;
                 }
+            };
+            let (r, from, reply) = match env.message {
+                Message::UpdateSubmission { round, from, update } if phase == Phase::Update => {
+                    (round, from, Reply::Update(update))
+                }
+                Message::VoteSubmission { round, from, vote } if phase == Phase::Vote => {
+                    (round, from, Reply::Vote(vote))
+                }
+                Message::Abstain { round, from, reason }
+                    if reason.is_train_phase() == (phase == Phase::Update) =>
+                {
+                    (round, from, Reply::Abstain(reason))
+                }
+                _ => continue,
+            };
+            if r != round {
+                continue;
             }
+            if from != env.from || !ledger.contains(from) {
+                tally.rejected += 1;
+                ledger.mark_rejected(env.from);
+                continue;
+            }
+            let abstained = matches!(reply, Reply::Abstain(_));
+            let first =
+                if abstained { ledger.mark_abstained(from) } else { ledger.mark_answered(from) };
+            if !first {
+                tally.duplicates += 1;
+                continue;
+            }
+            tally.abstentions += usize::from(abstained);
+            replies.push((from, reply));
         }
-        // Each payload decodes independently: fan out on the pool, then
-        // fold the verdicts serially in arrival order.
+        (replies, tally)
+    }
+
+    /// The update phase: [`Server::collect`], then the payloads. An
+    /// update survives only if it decodes to exactly `param_len` floats
+    /// (a truncated update would panic the aggregation — a remote DoS).
+    /// A payload whose wire **checksum** fails is booked as link
+    /// corruption, not sender misbehaviour — the honest sender encoded
+    /// it correctly.
+    ///
+    /// Payload decoding is deferred out of the receive loop: the loop
+    /// only settles ledger slots and keeps the raw bytes in arrival
+    /// order, then the decodes fan out across the worker pool and the
+    /// verdicts are folded back serially in that same arrival order, so
+    /// the tally is identical to an inline decode. (The ledger is
+    /// phase-local, so whether a bad decode books its slot answered or
+    /// rejected is unobservable.)
+    fn collect_updates(
+        &self,
+        round: u64,
+        contributors: &[usize],
+    ) -> (HashMap<NodeId, Vec<f32>>, PhaseTally) {
+        let (replies, mut tally) = self.collect(round, contributors, Phase::Update);
+        let submissions: Vec<(NodeId, Bytes)> = replies
+            .into_iter()
+            .filter_map(|(from, reply)| match reply {
+                Reply::Update(update) => Some((from, update)),
+                _ => None,
+            })
+            .collect();
         let decoded = pool::parallel_map(submissions, |_, (from, update)| {
             let result = wire::decode_any(&update);
             (from, result)
@@ -898,88 +887,31 @@ impl Server {
                 }
             }
         }
-        tally.elapsed = start.elapsed();
         (updates, tally)
-    }
-
-    /// Collects vote submissions for `round` until every sampled
-    /// validator is accounted for in the phase ledger or the phase
-    /// timeout expires. Returns the counted votes plus the phase tally
-    /// and the acknowledgement evidence: which validators were **heard
-    /// from** (their history shipment arrived) and which of those
-    /// declared a too-short window (their sync state must be reset).
-    ///
-    /// A vote counts only if the sender is in this round's sampled
-    /// validator set, the claimed `from` matches the envelope, and the
-    /// validator's ledger slot is still pending — otherwise any node
-    /// could stuff the quorum. A repeat delivery to a settled slot (a
-    /// duplicated vote, or a vote after an abstention) is counted as a
-    /// duplicate, not a rejection. An explicit abstention settles the
-    /// slot without casting a vote: per footnote 1 it is an implicit
-    /// accept, and the phase stops waiting for that validator.
-    fn collect_votes(&self, round: u64, validators: &[usize]) -> VotePhase {
-        let mut ledger = PhaseLedger::new(validators.iter().map(|&v| NodeId(v as u32)));
-        let mut outcome = VotePhase::default();
-        let start = std::time::Instant::now();
-        let deadline = start + self.config.phase_timeout;
-        while !ledger.all_accounted() {
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            if remaining.is_zero() {
-                break;
-            }
-            match self.endpoint.recv_timeout(remaining) {
-                Ok(env) => match env.message {
-                    Message::VoteSubmission { round: r, from, vote } => {
-                        if r != round {
-                            continue;
-                        }
-                        if from != env.from || !ledger.contains(from) {
-                            outcome.tally.rejected += 1;
-                            ledger.mark_rejected(env.from);
-                            continue;
-                        }
-                        if ledger.mark_answered(from) {
-                            outcome.votes.push(vote);
-                            outcome.heard.push(from);
-                        } else {
-                            // Duplicate vote, or a vote after abstaining.
-                            outcome.tally.duplicates += 1;
-                        }
-                    }
-                    Message::Abstain { round: r, from, reason } => {
-                        if r != round || !reason.is_vote_phase() {
-                            continue;
-                        }
-                        if from != env.from || !ledger.contains(from) {
-                            outcome.tally.rejected += 1;
-                            ledger.mark_rejected(env.from);
-                            continue;
-                        }
-                        if ledger.mark_abstained(from) {
-                            outcome.tally.abstentions += 1;
-                            outcome.heard.push(from);
-                            if reason == AbstainReason::HistoryTooShort {
-                                outcome.gapped.push(from);
-                            }
-                        } else {
-                            outcome.tally.duplicates += 1;
-                        }
-                    }
-                    _ => {}
-                },
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => {
-                    outcome.tally.lost = true;
-                    break;
-                }
-            }
-        }
-        outcome.tally.elapsed = start.elapsed();
-        outcome
     }
 }
 
-/// What one collection phase observed besides its payloads.
+/// The two collection phases of a round.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    /// Contributors answer a `TrainRequest`.
+    Update,
+    /// Validators answer a `ValidateRequest`.
+    Vote,
+}
+
+/// What a sampled node answered in a collection phase.
+#[derive(Debug)]
+enum Reply {
+    /// A raw update payload, not yet decoded.
+    Update(Bytes),
+    /// A validator's verdict.
+    Vote(Vote),
+    /// The node cannot act on the request.
+    Abstain(AbstainReason),
+}
+
+/// What one collection phase observed besides its replies.
 #[derive(Debug, Default)]
 struct PhaseTally {
     /// Submissions discarded at intake because the sender misbehaved.
@@ -992,19 +924,4 @@ struct PhaseTally {
     duplicates: usize,
     /// Whether the phase ended because the receive channel disconnected.
     lost: bool,
-    /// Wall-clock the phase took.
-    elapsed: Duration,
-}
-
-/// Everything the vote collection phase reports back to the round.
-#[derive(Debug, Default)]
-struct VotePhase {
-    votes: Vec<Vote>,
-    tally: PhaseTally,
-    /// Validators that answered (vote or abstention) — proof their
-    /// ValidateRequest, and therefore their history delta, arrived.
-    heard: Vec<NodeId>,
-    /// The subset of `heard` that abstained with
-    /// [`AbstainReason::HistoryTooShort`].
-    gapped: Vec<NodeId>,
 }

@@ -91,6 +91,10 @@ pub const CHECKPOINT_FILE: &str = "checkpoint.bin";
 /// half checkpoint behind.
 const CHECKPOINT_TMP: &str = "checkpoint.tmp";
 
+/// An outcome record's change to the committed history-sync map, as
+/// journaled: `(client, sync point)` commits and reset clients.
+type SyncDiff = (Vec<(u64, ModelId)>, Vec<u64>);
+
 const KIND_START: u8 = 0;
 const KIND_ACCEPTED: u8 = 1;
 const KIND_REJECTED: u8 = 2;
@@ -189,7 +193,7 @@ impl From<std::io::Error> for WalError {
 /// Encodes one record as a self-delimiting checksummed frame.
 pub fn encode_record(record: &WalRecord) -> Bytes {
     let mut body = BytesMut::new();
-    let put_lists = |body: &mut BytesMut, commits: &[(u64, ModelId)], resets: &[u64]| {
+    let put_sync_diff = |body: &mut BytesMut, commits: &[(u64, ModelId)], resets: &[u64]| {
         body.put_u32_le(commits.len() as u32);
         for &(client, id) in commits {
             body.put_u64_le(client);
@@ -212,13 +216,13 @@ pub fn encode_record(record: &WalRecord) -> Bytes {
             body.put_u64_le(*rng_stream);
             body.put_u32_le(model.len() as u32);
             body.extend_from_slice(model);
-            put_lists(&mut body, sync_commits, sync_resets);
+            put_sync_diff(&mut body, sync_commits, sync_resets);
         }
         WalRecord::RoundRejected { round, rng_stream, sync_commits, sync_resets } => {
             body.put_u8(KIND_REJECTED);
             body.put_u64_le(*round);
             body.put_u64_le(*rng_stream);
-            put_lists(&mut body, sync_commits, sync_resets);
+            put_sync_diff(&mut body, sync_commits, sync_resets);
         }
     }
     let mut buf = BytesMut::with_capacity(WAL_HEADER + body.len());
@@ -257,7 +261,7 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(self.take(8, what)?.try_into().expect("8 bytes")))
     }
 
-    fn lists(&mut self) -> Result<(Vec<(u64, ModelId)>, Vec<u64>), WalError> {
+    fn sync_diff(&mut self) -> Result<SyncDiff, WalError> {
         let n_commits = self.u32("commit count")? as usize;
         let mut commits = Vec::with_capacity(n_commits.min(1 << 16));
         for _ in 0..n_commits {
@@ -315,11 +319,11 @@ pub fn decode_record(buf: &[u8]) -> Result<Option<(WalRecord, usize)>, WalError>
         KIND_ACCEPTED => {
             let model_len = c.u32("model length")? as usize;
             let model = Bytes::copy_from_slice(c.take(model_len, "model payload")?);
-            let (sync_commits, sync_resets) = c.lists()?;
+            let (sync_commits, sync_resets) = c.sync_diff()?;
             WalRecord::RoundAccepted { round, rng_stream, model, sync_commits, sync_resets }
         }
         KIND_REJECTED => {
-            let (sync_commits, sync_resets) = c.lists()?;
+            let (sync_commits, sync_resets) = c.sync_diff()?;
             WalRecord::RoundRejected { round, rng_stream, sync_commits, sync_resets }
         }
         other => return Err(WalError::Corrupt(format!("unknown record kind {other}"))),
@@ -360,8 +364,7 @@ impl<R: Read> RecordReader<R> {
         if magic != WAL_MAGIC {
             return Err(WalError::Corrupt("bad record magic".into()));
         }
-        let body_len =
-            u32::from_le_bytes(header[8..12].try_into().expect("4 bytes")) as usize;
+        let body_len = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes")) as usize;
         if body_len > MAX_BODY {
             return Err(WalError::Corrupt("record body too large".into()));
         }
@@ -586,8 +589,7 @@ impl DurableServer {
 
     fn journal_start(&mut self) -> std::io::Result<(u64, u64)> {
         let round = self.server.round() + 1;
-        let rng_stream =
-            derive_stream(self.server.config().seed, round, NodeId::SERVER.0 as u64);
+        let rng_stream = derive_stream(self.server.config().seed, round, NodeId::SERVER.0 as u64);
         self.wal.append(&WalRecord::RoundStart { round, rng_stream })?;
         Ok((round, rng_stream))
     }
@@ -827,9 +829,10 @@ impl Standby {
             )));
         }
         let params = match model {
-            Some(bytes) => Some(wire::decode_f32(bytes).map_err(|e| {
-                WalError::Corrupt(format!("round {round} model payload: {e}"))
-            })?),
+            Some(bytes) => Some(
+                wire::decode_f32(bytes)
+                    .map_err(|e| WalError::Corrupt(format!("round {round} model payload: {e}")))?,
+            ),
             None => None,
         };
         if let Some(p) = &params {

@@ -11,6 +11,9 @@
 //!   recovered from `checkpoint + WAL tail` replays the uninterrupted
 //!   run's `ServerRound`s exactly and ends in a **byte-identical**
 //!   checkpoint.
+//! - **Replayed wire window**: under the quantised and top-k profiles a
+//!   recovered server ships the byte-identical `ValidateRequest`s the
+//!   uninterrupted server ships.
 //! - **Torn rounds**: a crash after `RoundStart` but before the outcome
 //!   record recovers to the pre-round state; the re-ask of the same
 //!   round is duplicate-safe (fresh ledger, identical re-shipped
@@ -24,7 +27,7 @@ use baffle_core::{ValidationConfig, Validator, Vote};
 use baffle_data::Dataset;
 use baffle_fl::{FlConfig, WireProfile};
 use baffle_net::deployment::{Deployment, DeploymentConfig, DeploymentParts};
-use baffle_net::message::{Message, NodeId};
+use baffle_net::message::{AbstainReason, Message, NodeId};
 use baffle_net::server::{Server, ServerConfig, ServerRound};
 use baffle_net::transport::{Endpoint, Network};
 use baffle_net::wal::{
@@ -259,8 +262,8 @@ fn drive_durable(
                 let endpoint = durable.into_inner().into_endpoint();
                 let (server, ri) = recover(dir, endpoint, kit.clone()).expect("recover");
                 info = Some(ri);
-                durable = DurableServer::create(dir, compact_every, server)
-                    .expect("takeover compaction");
+                durable =
+                    DurableServer::create(dir, compact_every, server).expect("takeover compaction");
             }
             rounds.push(durable.run_round().expect("journal round"));
         }
@@ -291,10 +294,7 @@ fn replayed_server_produces_byte_identical_next_checkpoint() {
     assert!(info_a.is_none(), "the uninterrupted run never recovers");
     // Compaction ran after round 2, so recovery loads that checkpoint
     // and replays exactly round 3 from the tail. Nothing was torn.
-    assert_eq!(
-        info_b,
-        Some(RecoveryInfo { checkpoint_round: 2, replayed: 1, torn_round: None })
-    );
+    assert_eq!(info_b, Some(RecoveryInfo { checkpoint_round: 2, replayed: 1, torn_round: None }));
     let a: Vec<ServerRound> = rounds_a.iter().map(normalized).collect();
     let b: Vec<ServerRound> = rounds_b.iter().map(normalized).collect();
     assert_eq!(a, b, "a recovered server must replay the uninterrupted run exactly");
@@ -302,6 +302,126 @@ fn replayed_server_produces_byte_identical_next_checkpoint() {
         blob_a, blob_b,
         "replay from checkpoint + WAL tail must reproduce the state byte-for-byte"
     );
+}
+
+/// Runs four scripted rounds under `profile` with the server journaled
+/// (compaction after round 2) and returns what round 4 put on the wire:
+/// its `ServerRound` and every `ValidateRequest`, by validator. With
+/// `recover`, the server is dropped after round 3 and round 4 is run by
+/// a server rebuilt from the checkpoint plus the WAL tail.
+///
+/// The clients make the wire window matter: their updates differ by
+/// round and sender, so consecutive models differ, and client 2 declares
+/// its window gapped in round 3, so round 4 re-ships it the whole window
+/// (a dense head, then — under a top-k profile — chained deltas) while
+/// clients 0 and 1 get the newest entry on their chain.
+fn fourth_round_on_the_wire(
+    profile: WireProfile,
+    recover_first: bool,
+    tag: &str,
+) -> (ServerRound, Vec<(NodeId, Message)>) {
+    let dir = test_dir(tag);
+    let network = Network::new();
+    let mut rng = StdRng::seed_from_u64(5);
+    let initial = Mlp::new(&MlpSpec::new(8, &[16], 4), &mut rng);
+    let config = ServerConfig { wire: profile, ..scripted_config(5, 2_000) };
+    let kit = RestoreKit { server_data: Dataset::empty(8, 4), ..kit_for(&config, &initial) };
+    let server = Server::new(
+        network.register(NodeId::SERVER),
+        config.clone(),
+        initial.clone(),
+        kit.history_window,
+        validator(),
+        kit.server_data.clone(),
+    );
+    let requests = Mutex::new(Vec::new());
+
+    let last = crossbeam::thread::scope(|scope| {
+        for c in 0..NUM_CLIENTS {
+            let endpoint = network.register(NodeId(c as u32));
+            let (n_params, requests) = (initial.num_params(), &requests);
+            scope.spawn(move |_| {
+                while let Ok(env) = endpoint.recv() {
+                    let from = endpoint.id();
+                    let reply = match &env.message {
+                        Message::TrainRequest { round, .. } => {
+                            let step = 0.01 * *round as f32 * (c + 1) as f32;
+                            let update: Vec<f32> =
+                                (0..n_params).map(|i| step * (i % 7) as f32).collect();
+                            let update = profile.update.encode(&update);
+                            Message::UpdateSubmission { round: *round, from, update }
+                        }
+                        Message::ValidateRequest { round: 3, .. } if c == 2 => Message::Abstain {
+                            round: 3,
+                            from,
+                            reason: AbstainReason::HistoryTooShort,
+                        },
+                        Message::ValidateRequest { round, .. } => {
+                            if *round == 4 {
+                                requests.lock().unwrap().push((from, env.message.clone()));
+                            }
+                            Message::VoteSubmission { round: *round, from, vote: Vote::Accept }
+                        }
+                        Message::Shutdown => break,
+                        _ => continue,
+                    };
+                    endpoint.send(NodeId::SERVER, reply);
+                }
+            });
+        }
+        let mut durable = DurableServer::create(&dir, 2, server).expect("create durability dir");
+        for r in 1..=3 {
+            network.begin_round(r);
+            assert!(durable.run_round().expect("journal round").accepted, "round {r}");
+        }
+        network.begin_round(4);
+        let mut server = durable.into_inner();
+        if recover_first {
+            let (recovered, info) = recover(&dir, server.into_endpoint(), kit).expect("recover");
+            assert_eq!(info, RecoveryInfo { checkpoint_round: 2, replayed: 1, torn_round: None });
+            server = recovered;
+        }
+        let last = server.run_round();
+        server.shutdown();
+        last
+    })
+    .expect("client thread panicked");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut requests = requests.into_inner().unwrap();
+    requests.sort_by_key(|(id, _)| *id);
+    (last, requests)
+}
+
+/// Recovery rebuilds the **wire** window too, not just the trusted one:
+/// under the quantised and the top-k profile, a server restored from a
+/// checkpoint plus the WAL tail sends the byte-identical
+/// `ValidateRequest`s — candidate and every `history_delta` entry — the
+/// uninterrupted server sends, and books the same shipped bytes.
+#[test]
+fn recovered_server_ships_the_live_servers_wire_window() {
+    for profile in [WireProfile::quantized(), WireProfile::compact()] {
+        let label = profile.label();
+        let (live, live_requests) =
+            fourth_round_on_the_wire(profile, false, &format!("wire-live-{label}"));
+        let (replayed, replayed_requests) =
+            fourth_round_on_the_wire(profile, true, &format!("wire-replayed-{label}"));
+
+        // The scenario is the one described: everybody was asked, client
+        // 2 got the whole window, the others one entry.
+        let shipped: Vec<usize> = live_requests
+            .iter()
+            .map(|(_, m)| match m {
+                Message::ValidateRequest { history_delta, .. } => history_delta.len(),
+                other => panic!("recorded a {}", other.kind()),
+            })
+            .collect();
+        assert_eq!(shipped, vec![1, 1, 4], "{label}");
+
+        assert_eq!(replayed_requests, live_requests, "{label}: ValidateRequest bytes differ");
+        assert_eq!(replayed.history_bytes_shipped, live.history_bytes_shipped, "{label}");
+        assert!(live.history_bytes_shipped > 0, "{label}");
+        assert_eq!(normalized(&replayed), normalized(&live), "{label}");
+    }
 }
 
 /// A crash *inside* a round — `RoundStart` journaled, outcome never —

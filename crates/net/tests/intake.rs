@@ -7,12 +7,19 @@
 //! messages in send order, so a rogue message queued before the honest
 //! replies is guaranteed to reach the server first — these tests fail on
 //! the pre-fix server (corrupted aggregate, panic, stuffed quorum).
+//!
+//! The last test is a table over the server's one receive loop: every
+//! intake rule, for a payload and for an abstention, must move the same
+//! `ServerRound` counters whether it fires in the update phase or in the
+//! vote phase.
 
 use baffle_core::{ValidationConfig, Validator, Vote};
 use baffle_data::Dataset;
 use baffle_fl::{FlConfig, WireProfile};
-use baffle_net::message::{Message, NodeId};
-use baffle_net::server::{Server, ServerConfig};
+use baffle_net::fault::FaultPlan;
+use baffle_net::message::{AbstainReason, Message, NodeId};
+use baffle_net::server::{Server, ServerConfig, ServerRound};
+use baffle_net::socket::TransportMode;
 use baffle_net::transport::{Endpoint, Network};
 use baffle_nn::{wire, Mlp, MlpSpec, Model};
 use rand::rngs::StdRng;
@@ -309,4 +316,151 @@ fn votes_from_outside_the_validator_set_cannot_stuff_the_quorum() {
     assert_eq!(round.reject_votes, 0, "no rogue Reject may be counted");
     assert_eq!(round.votes_received, NUM_CLIENTS);
     assert!(round.accepted, "quorum stuffing must not veto the round");
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Phase {
+    Update,
+    Vote,
+}
+
+/// Which kind of reply breaks the rule: the phase's payload message
+/// (update or vote) or an abstention.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    Payload,
+    Abstain,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Fault {
+    WrongPhase,
+    StaleRound,
+    SpoofedFrom,
+    UnsampledSender,
+    RepeatAfterAnswer,
+    RepeatAfterAbstain,
+}
+
+/// A node that is registered on the network but never sampled.
+const ROGUE: u32 = 9;
+
+/// A well-formed `kind` message for `phase` of `round`, claiming `from`.
+fn reply(phase: Phase, kind: Kind, round: u64, from: u32, n_params: usize) -> Message {
+    let from = NodeId(from);
+    match (kind, phase) {
+        (Kind::Payload, Phase::Update) => Message::UpdateSubmission {
+            round,
+            from,
+            update: wire::encode_f32(&vec![0.0; n_params]),
+        },
+        (Kind::Payload, Phase::Vote) => Message::VoteSubmission { round, from, vote: Vote::Accept },
+        (Kind::Abstain, Phase::Update) => {
+            Message::Abstain { round, from, reason: AbstainReason::EmptyShard }
+        }
+        (Kind::Abstain, Phase::Vote) => {
+            Message::Abstain { round, from, reason: AbstainReason::NoValidationData }
+        }
+    }
+}
+
+/// What reaches the server in `phase` of round 1, in order, as `(sending
+/// endpoint, message)`: client 2 (or the rogue) breaks one rule with a
+/// `kind` message, everybody else answers properly. The last message is
+/// always one the phase has to wait for, so the ledger cannot close the
+/// phase before the faulty message has been read.
+fn traffic(phase: Phase, kind: Kind, fault: Option<Fault>, n: usize) -> Vec<(u32, Message)> {
+    let other = if phase == Phase::Update { Phase::Vote } else { Phase::Update };
+    let answer = |c: u32| (c, reply(phase, Kind::Payload, 1, c, n));
+    let Some(fault) = fault else {
+        return vec![answer(0), answer(1), answer(2)];
+    };
+    match fault {
+        Fault::WrongPhase => {
+            vec![(2, reply(other, kind, 1, 2, n)), answer(0), answer(1), answer(2)]
+        }
+        Fault::StaleRound => {
+            vec![(2, reply(phase, kind, 0, 2, n)), answer(0), answer(1), answer(2)]
+        }
+        // Client 2 claims to be client 0. Its own slot settles as
+        // rejected, so the phase ends without waiting for it.
+        Fault::SpoofedFrom => vec![(2, reply(phase, kind, 1, 0, n)), answer(0), answer(1)],
+        Fault::UnsampledSender => {
+            vec![(ROGUE, reply(phase, kind, 1, ROGUE, n)), answer(0), answer(1), answer(2)]
+        }
+        Fault::RepeatAfterAnswer => {
+            vec![answer(2), (2, reply(phase, kind, 1, 2, n)), answer(0), answer(1)]
+        }
+        Fault::RepeatAfterAbstain => vec![
+            (2, reply(phase, Kind::Abstain, 1, 2, n)),
+            (2, reply(phase, kind, 1, 2, n)),
+            answer(0),
+            answer(1),
+        ],
+    }
+}
+
+/// Runs round 1 with `fault` injected into `phase` and the other phase
+/// clean. One thread plays every client over the in-process transport,
+/// whatever `BAFFLE_TRANSPORT` says: a single sender over channels is
+/// what makes the server's receive order the scripted order.
+fn run_faulty_round(phase: Phase, kind: Kind, fault: Fault) -> ServerRound {
+    let network = Network::with_transport(FaultPlan::lossless(0), TransportMode::InProcess);
+    let initial = tiny_model(6);
+    let mut server = make_server(&network, 2, 10_000, &initial);
+    let endpoints: Vec<(u32, Endpoint)> =
+        (0..NUM_CLIENTS as u32).chain([ROGUE]).map(|c| (c, network.register(NodeId(c)))).collect();
+    let n = initial.num_params();
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            for current in [Phase::Update, Phase::Vote] {
+                // Every sampled client holds the phase's request before
+                // anybody answers it.
+                for (_, endpoint) in &endpoints[..NUM_CLIENTS] {
+                    endpoint.recv().expect("phase request");
+                }
+                let fault = (current == phase).then_some(fault);
+                for (via, message) in traffic(current, kind, fault, n) {
+                    let (_, endpoint) = endpoints.iter().find(|(c, _)| *c == via).unwrap();
+                    endpoint.send(NodeId::SERVER, message);
+                }
+            }
+        });
+        server.run_round()
+    })
+}
+
+#[test]
+fn both_phases_apply_the_same_intake_rules() {
+    // (received, rejected at intake, abstentions, duplicate deliveries)
+    let table = [
+        (Fault::WrongPhase, (3, 0, 0, 0)),
+        (Fault::StaleRound, (3, 0, 0, 0)),
+        (Fault::SpoofedFrom, (2, 1, 0, 0)),
+        (Fault::UnsampledSender, (3, 1, 0, 0)),
+        (Fault::RepeatAfterAnswer, (3, 0, 0, 1)),
+        (Fault::RepeatAfterAbstain, (2, 0, 1, 1)),
+    ];
+    for kind in [Kind::Payload, Kind::Abstain] {
+        for (fault, expected) in table {
+            let case = format!("{kind:?} / {fault:?}");
+            let u = run_faulty_round(Phase::Update, kind, fault);
+            let v = run_faulty_round(Phase::Vote, kind, fault);
+            let in_update_phase =
+                (u.updates_received, u.rejected_submissions, u.abstentions, u.duplicate_deliveries);
+            let in_vote_phase =
+                (v.votes_received, v.rejected_votes, v.abstentions, v.duplicate_deliveries);
+            assert_eq!(in_update_phase, expected, "{case}, update phase");
+            assert_eq!(in_vote_phase, expected, "{case}, vote phase");
+            // The fault stayed in its phase, and no slot was left to the
+            // timeout.
+            assert_eq!((u.votes_received, u.rejected_votes), (NUM_CLIENTS, 0), "{case}");
+            assert_eq!((v.updates_received, v.rejected_submissions), (NUM_CLIENTS, 0), "{case}");
+            for r in [&u, &v] {
+                assert!(r.accepted && !r.transport_lost, "{case}");
+                assert_eq!((r.reject_votes, r.corrupted_payloads), (0, 0), "{case}");
+                assert!(r.update_phase + r.vote_phase < Duration::from_secs(5), "{case}");
+            }
+        }
+    }
 }

@@ -348,7 +348,7 @@ fn real_client_abstains_instead_of_going_silent() {
 
         // Decodable candidate but an empty history cache: the VALIDATE
         // function cannot run, so the client abstains explicitly.
-        let candidate = Bytes::from(wire::encode_f32(&template.params()));
+        let candidate = wire::encode_f32(&template.params());
         server.send(
             NodeId(0),
             Message::ValidateRequest { round: 3, candidate, history_delta: vec![] },
@@ -376,7 +376,7 @@ fn real_client_with_empty_shard_abstains_from_training() {
 
     crossbeam::thread::scope(|scope| {
         scope.spawn(move |_| run());
-        let global = Bytes::from(wire::encode_f32(&template.params()));
+        let global = wire::encode_f32(&template.params());
         server.send(NodeId(0), Message::TrainRequest { round: 1, global });
         let env = server.recv_timeout(Duration::from_secs(5)).expect("client went silent");
         assert_eq!(

@@ -1,12 +1,5 @@
 //! Steady-state allocation regression gate for the training hot path.
 //!
-//! Requires the `alloc-probe` feature (which installs the counting
-//! global allocator):
-//!
-//! ```text
-//! cargo test -p baffle-bench --features alloc-probe --test alloc_regression
-//! ```
-//!
 //! The workspace-reuse contract says a warmed-up `Mlp::train_batch` /
 //! `train_epoch` touches only caller-retained buffers: layer caches,
 //! gradient buffers, the epoch scratch and the optimizer state are all
@@ -16,16 +9,73 @@
 //! The same buffers are workspace, not value: cloning a warm model must
 //! request about `4·num_params` bytes, not the workspace's size.
 //!
-//! Kept to a single `#[test]` so no concurrent test can pollute the
+//! An integration test is its own binary, so the counting
+//! `#[global_allocator]` below meters this process and no other. Kept
+//! to a single test function so no concurrent test can pollute the
 //! process-wide counters.
 
-#![cfg(feature = "alloc-probe")]
-
-use baffle_bench::alloc_probe;
 use baffle_nn::{Mlp, MlpSpec, Model, Sgd};
 use baffle_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
+
+/// [`System`] with allocation counting. Deallocations are not counted:
+/// the question is "does the steady state *request* heap memory", and
+/// frees without matching allocs cannot occur.
+struct CountingAlloc;
+
+// SAFETY: defers entirely to `System`; the counters never influence the
+// pointers returned.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // A grow-in-place is still a heap request the steady state
+        // should not be making.
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocation requests (incl. zeroed allocs and reallocs) and the bytes
+/// they asked for.
+struct AllocStats {
+    allocs: u64,
+    bytes: u64,
+}
+
+/// Runs `f` and reports the allocations made during the call — by *any*
+/// thread, so pool fan-outs (task boxing) are charged to the region that
+/// triggered them.
+fn measure<R>(f: impl FnOnce() -> R) -> (R, AllocStats) {
+    let before = (ALLOCS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed));
+    let out = f();
+    let after = (ALLOCS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed));
+    (out, AllocStats { allocs: after.0 - before.0, bytes: after.1 - before.1 })
+}
 
 #[test]
 fn warm_mlp_training_makes_zero_allocations() {
@@ -46,7 +96,7 @@ fn warm_mlp_training_makes_zero_allocations() {
     for _ in 0..3 {
         model.train_batch(&x, &y, &mut opt);
     }
-    let (_, per_batch) = alloc_probe::measure(|| {
+    let (_, per_batch) = measure(|| {
         for _ in 0..10 {
             model.train_batch(&x, &y, &mut opt);
         }
@@ -62,7 +112,7 @@ fn warm_mlp_training_makes_zero_allocations() {
     // a ragged final minibatch of 8, so the reused scratch sees two
     // shapes per epoch.
     model.train_epoch(&x, &y, 16, &mut opt, &mut rng);
-    let (_, per_epoch) = alloc_probe::measure(|| {
+    let (_, per_epoch) = measure(|| {
         for _ in 0..3 {
             model.train_epoch(&x, &y, 16, &mut opt, &mut rng);
         }
@@ -81,7 +131,7 @@ fn warm_mlp_training_makes_zero_allocations() {
     let xl = Matrix::from_fn(big, 16, |i, j| ((i * 16 + j) as f32 * 0.11).cos());
     let yl: Vec<usize> = (0..big).map(|i| i % 4).collect();
     model.train_epoch(&xl, &yl, 16, &mut opt, &mut rng);
-    let (copy, per_clone) = alloc_probe::measure(|| model.clone());
+    let (copy, per_clone) = measure(|| model.clone());
     let budget = 4 * model.num_params() as u64 + 2_048;
     assert!(
         per_clone.bytes <= budget,
@@ -90,7 +140,7 @@ fn warm_mlp_training_makes_zero_allocations() {
         model.num_params()
     );
     assert_eq!(copy.params(), model.params());
-    let (_, after_clone) = alloc_probe::measure(|| {
+    let (_, after_clone) = measure(|| {
         model.train_epoch(&xl, &yl, 16, &mut opt, &mut rng);
     });
     assert_eq!(

@@ -8,7 +8,7 @@ cd "$(dirname "$0")"
 cargo build --release -p baffle-core -p baffle-baselines --bins
 # Paper artifacts.
 ./target/release/fig2_per_class_error   $EXP_FLAGS --out results/fig2.txt                  > results/fig2.log 2>&1
-cargo run --release -p baffle-bench --bin wire_report > results/BENCH_wire.json 2> results/wire_report.log
+cargo run --release -p baffle-net --bin wire_report > results/BENCH_wire.json 2> results/wire_report.log
 ./target/release/fig4_early_poisoning   $EXP_FLAGS --out results/fig4.txt                  > results/fig4.log 2>&1
 ./target/release/table2_adaptive        $EXP_FLAGS --out results/table2.txt                > results/table2.log 2>&1
 ./target/release/fig5_vote_distribution $EXP_FLAGS --out results/fig5.txt                  > results/fig5.log 2>&1

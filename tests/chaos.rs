@@ -315,9 +315,6 @@ fn primary_crash_mid_round_fails_over_to_hot_standby() {
             report.promoted_checkpoint, report.pre_crash_checkpoint,
             "seed {seed}: promoted standby must match the pre-crash state bit-for-bit"
         );
-        assert!(
-            report.recovery.is_some(),
-            "seed {seed}: no round was accepted after the takeover"
-        );
+        assert!(report.recovery.is_some(), "seed {seed}: no round was accepted after the takeover");
     }
 }
