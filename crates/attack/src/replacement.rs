@@ -6,6 +6,14 @@ use baffle_nn::{Mlp, Model, Sgd};
 use baffle_tensor::ops;
 use rand::rngs::StdRng;
 
+/// The attacker's local training epochs: longer than honest clients
+/// train, to embed the backdoor.
+const EPOCHS: usize = 6;
+/// The attacker's local learning rate: lower than the honest one, to
+/// preserve main-task accuracy.
+const LR: f32 = 0.05;
+const BATCH_SIZE: usize = 32;
+
 /// The train-and-scale model-replacement attack used as the paper's
 /// benchmark (§III-B, §VI-A).
 ///
@@ -25,9 +33,6 @@ use rand::rngs::StdRng;
 pub struct ModelReplacement {
     spec: BackdoorSpec,
     boost: f32,
-    epochs: usize,
-    lr: f32,
-    batch_size: usize,
     poison_repeats: usize,
 }
 
@@ -40,7 +45,7 @@ impl ModelReplacement {
     /// Panics if `boost` is not finite and positive.
     pub fn new(spec: BackdoorSpec, boost: f32) -> Self {
         assert!(boost.is_finite() && boost > 0.0, "ModelReplacement: boost must be positive");
-        Self { spec, boost, epochs: 6, lr: 0.05, batch_size: 32, poison_repeats: 3 }
+        Self { spec, boost, poison_repeats: 3 }
     }
 
     /// The backdoor task being injected.
@@ -51,22 +56,6 @@ impl ModelReplacement {
     /// The boost factor γ.
     pub fn boost(&self) -> f32 {
         self.boost
-    }
-
-    /// Overrides the attacker's local training epochs (default 6 — the
-    /// attacker trains longer than honest clients to embed the backdoor).
-    pub fn with_epochs(mut self, epochs: usize) -> Self {
-        assert!(epochs > 0, "epochs must be positive");
-        self.epochs = epochs;
-        self
-    }
-
-    /// Overrides the attacker's local learning rate (default 0.05 — the
-    /// attacker uses a lower rate to preserve main-task accuracy).
-    pub fn with_lr(mut self, lr: f32) -> Self {
-        assert!(lr.is_finite() && lr > 0.0, "lr must be positive");
-        self.lr = lr;
-        self
     }
 
     /// How many times the (relabelled) backdoor set is repeated in the
@@ -100,9 +89,9 @@ impl ModelReplacement {
     ) -> Mlp {
         let blend = self.training_blend(clean, backdoor);
         let mut local = global.clone();
-        let mut opt = Sgd::new(self.lr).with_momentum(0.9);
-        for _ in 0..self.epochs {
-            local.train_epoch(blend.features(), blend.labels(), self.batch_size, &mut opt, rng);
+        let mut opt = Sgd::new(LR).with_momentum(0.9);
+        for _ in 0..EPOCHS {
+            local.train_epoch(blend.features(), blend.labels(), BATCH_SIZE, &mut opt, rng);
         }
         local
     }

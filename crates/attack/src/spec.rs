@@ -1,7 +1,6 @@
 //! Backdoor task specification.
 
 use baffle_data::Dataset;
-use serde::{Deserialize, Serialize};
 
 /// The adversarial subtask of a backdoor attack (paper §III-A): a set of
 /// backdoor instances and a target label `y_t`.
@@ -24,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.target_class(), 7);
 /// assert!(BackdoorSpec::label_flip(0, 5).subgroup().is_none());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BackdoorSpec {
     source_class: usize,
     subgroup: Option<u16>,

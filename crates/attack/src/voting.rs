@@ -8,13 +8,11 @@
 //! - **denial of service**: vote "poisoned" on every model, to stall
 //!   training by having genuine updates rejected.
 
-use serde::{Deserialize, Serialize};
-
 /// A validator's vote about the current global model.
 ///
 /// Matches the paper's encoding: `d_i = 1` means "poisoned" (reject),
 /// `d_i = 0` means "clean" (accept).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Vote {
     /// `d_i = 0`: the model looks clean.
     Accept,
@@ -33,7 +31,7 @@ impl Vote {
 }
 
 /// How a (possibly malicious) validating client produces its vote.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum VoterBehavior {
     /// Runs the real validation function on local data.
     #[default]

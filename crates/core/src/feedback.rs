@@ -1,10 +1,9 @@
 //! The feedback loop's server side: quorum voting (Algorithm 1, §IV-B).
 
 use baffle_attack::voting::Vote;
-use serde::{Deserialize, Serialize};
 
 /// The server's decision about the round's global update.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Decision {
     /// Enough validators flagged the model: discard it and keep the
     /// previous global model (`G^r ← G^{r−1}`).
@@ -38,7 +37,7 @@ impl Decision {
 /// let votes = vec![Vote::Reject, Vote::Reject, Vote::Accept];
 /// assert_eq!(rule.decide(&votes), Decision::Accepted);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QuorumRule {
     n: usize,
     q: usize,

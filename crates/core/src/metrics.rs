@@ -1,8 +1,6 @@
 //! Detection metrics: false-positive / false-negative rates and
 //! aggregation across repeated experiments.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-run detection counts, classified against ground truth.
 ///
 /// - a **false positive** is a *clean* update rejected by the defense;
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(c.false_positive_rate(), 0.5);
 /// assert_eq!(c.false_negative_rate(), 0.5);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DetectionCounts {
     true_positives: usize,
     false_positives: usize,

@@ -23,10 +23,9 @@ use baffle_nn::{eval, Mlp, MlpSpec, Model, Sgd};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Which of the paper's two evaluation settings to emulate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DatasetKind {
     /// 10 classes, semantic backdoor ("striped cars → birds").
     CifarLike,
@@ -36,7 +35,7 @@ pub enum DatasetKind {
 
 /// Which entities validate the global model (paper §VI-A, "defender
 /// configurations").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DefenseMode {
     /// No defense: every update is accepted.
     Off,
@@ -50,7 +49,7 @@ pub enum DefenseMode {
 }
 
 /// How client datasets are materialised.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum ClientDataModel {
     /// Partition one honest pool with a symmetric Dirichlet over clients
     /// (the paper's §VI-A setup). For the semantic backdoor, the honest
@@ -73,7 +72,7 @@ pub enum ClientDataModel {
 }
 
 /// The attacker's update-crafting strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum AttackKind {
     /// Plain model replacement (train-and-scale).
     #[default]
@@ -89,7 +88,7 @@ pub enum AttackKind {
 /// [`Simulation::new`], which validates it. Use the presets
 /// ([`SimulationConfig::cifar_like`], [`SimulationConfig::femnist_like`],
 /// [`SimulationConfig::cifar_like_small`]) and adjust fields as needed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimulationConfig {
     /// Master seed; every random choice derives from it.
     pub seed: u64,
@@ -304,7 +303,7 @@ impl SimulationConfig {
 }
 
 /// What happened in one recorded FL round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoundRecord {
     /// 1-based recorded round number.
     pub round: usize,
@@ -352,7 +351,7 @@ impl RoundRecord {
 }
 
 /// Aggregated outcome of a simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimulationReport {
     /// Number of recorded rounds.
     pub rounds_run: usize,
@@ -671,15 +670,6 @@ impl Simulation {
         &self.test_data
     }
 
-    /// The data shard of client `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= num_clients`.
-    pub fn client_shard(&self, i: usize) -> &Dataset {
-        &self.client_shards[i]
-    }
-
     /// The accepted-model history the validators currently see.
     pub fn history(&self) -> &ModelHistory {
         &self.history
@@ -992,24 +982,6 @@ impl Simulation {
                 (damped.update, Some(damped.self_accepted))
             }
         }
-    }
-
-    /// Generates a fresh batch of backdoor test instances (used by
-    /// long-horizon experiments to avoid test-set reuse).
-    pub fn regenerate_backdoor_test(&mut self) {
-        self.backdoor_test = match self.backdoor.subgroup() {
-            Some(sg) => self.generator.generate_subgroup(
-                &mut self.rng,
-                self.config.backdoor_test_samples,
-                self.backdoor.source_class(),
-                sg,
-            ),
-            None => self.generator.generate_class(
-                &mut self.rng,
-                self.config.backdoor_test_samples,
-                self.backdoor.source_class(),
-            ),
-        };
     }
 }
 

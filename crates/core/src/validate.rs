@@ -23,34 +23,19 @@ use baffle_attack::voting::Vote;
 use baffle_data::Dataset;
 use baffle_lof::{LofError, LofModel};
 use baffle_nn::{ConfusionMatrix, Model};
-use baffle_tensor::pool;
-use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 
-/// Fan the leave-one-out threshold loop across the worker pool only when
-/// the trusted window is at least this wide: each iteration is a small
-/// LOF fit, and below this point dispatch overhead dominates the work.
-const LOO_PARALLEL_THRESHOLD: usize = 8;
-
 /// Scores each of the last `tw` references leave-one-out against the
-/// remaining ones, returning the per-probe results **in index order**
-/// (`refs.len() - tw` first). Runs on the process-wide worker pool
-/// ([`baffle_tensor::pool`], the same threads the GEMM kernels band
-/// over) when the window is wide enough; `parallel_map` preserves input
-/// order, so the output is identical either way and parallelism can
-/// never change a verdict.
-fn leave_one_out_scores(refs: &[Vec<f32>], k: usize, tw: usize) -> Vec<Result<f64, LofError>> {
-    let lo = refs.len() - tw;
-    let score_one = |i: usize| -> Result<f64, LofError> {
-        let mut others = refs.to_vec();
-        let probe = others.remove(i);
-        LofModel::fit(others, k)?.score(&probe)
-    };
-    if tw >= LOO_PARALLEL_THRESHOLD && pool::threads() > 1 {
-        pool::parallel_map((lo..refs.len()).collect(), |_, i| score_one(i))
-    } else {
-        (lo..refs.len()).map(score_one).collect()
-    }
+/// remaining ones, in index order (`refs.len() - tw` first); the first
+/// probe that cannot be scored is the error.
+fn leave_one_out_scores(refs: &[Vec<f32>], k: usize, tw: usize) -> Result<Vec<f64>, LofError> {
+    (refs.len() - tw..refs.len())
+        .map(|i| {
+            let mut others = refs.to_vec();
+            let probe = others.remove(i);
+            LofModel::fit(others, k)?.score(&probe)
+        })
+        .collect()
 }
 
 /// Parameters of the validation function.
@@ -65,11 +50,9 @@ fn leave_one_out_scores(refs: &[Vec<f32>], k: usize, tw: usize) -> Vec<Result<f6
 /// assert_eq!(c.k(), 10);           // ⌈ℓ/2⌉
 /// assert_eq!(c.trust_window(), 5); // ⌊ℓ/4⌋
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ValidationConfig {
     lookback: usize,
-    k: Option<usize>,
-    trust_window: Option<usize>,
     margin: f64,
 }
 
@@ -82,22 +65,7 @@ impl ValidationConfig {
     /// form a LOF neighbourhood).
     pub fn new(lookback: usize) -> Self {
         assert!(lookback >= 3, "ValidationConfig: lookback must be at least 3, got {lookback}");
-        Self { lookback, k: None, trust_window: None, margin: 1.0 }
-    }
-
-    /// Overrides the LOF neighbourhood size `k` (default `⌈ℓ/2⌉`).
-    pub fn with_k(mut self, k: usize) -> Self {
-        assert!(k >= 1, "k must be at least 1");
-        self.k = Some(k);
-        self
-    }
-
-    /// Overrides the number of trusted updates averaged into the
-    /// threshold (default `⌊ℓ/4⌋`, at least 1).
-    pub fn with_trust_window(mut self, w: usize) -> Self {
-        assert!(w >= 1, "trust window must be at least 1");
-        self.trust_window = Some(w);
-        self
+        Self { lookback, margin: 1.0 }
     }
 
     /// Sets a threshold margin: reject iff `φ > margin · τ`. The paper's
@@ -114,14 +82,14 @@ impl ValidationConfig {
         self.lookback
     }
 
-    /// The LOF neighbourhood size `k = ⌈ℓ/2⌉` unless overridden.
+    /// The LOF neighbourhood size `k = ⌈ℓ/2⌉`.
     pub fn k(&self) -> usize {
-        self.k.unwrap_or(self.lookback.div_ceil(2))
+        self.lookback.div_ceil(2)
     }
 
-    /// The trusted window `⌊ℓ/4⌋` (at least 1) unless overridden.
+    /// The trusted window `⌊ℓ/4⌋` (at least 1).
     pub fn trust_window(&self) -> usize {
-        self.trust_window.unwrap_or((self.lookback / 4).max(1))
+        (self.lookback / 4).max(1)
     }
 
     /// The rejection-threshold margin.
@@ -137,7 +105,7 @@ impl ValidationConfig {
 
 /// The outcome of validating one global model, exposing the intermediate
 /// quantities so callers can analyse decisions (C-INTERMEDIATE).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Verdict {
     vote: Vote,
     outlier_factor: f64,
@@ -221,7 +189,7 @@ pub const DUPLICATE_GUARD_FLIPS: f32 = 3.0;
 /// The VALIDATE routine of Algorithm 2. Any entity holding labelled data
 /// — a client or the server — can run it; the entity's data is the `data`
 /// argument.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Validator {
     config: ValidationConfig,
 }
@@ -353,13 +321,8 @@ impl Validator {
         // Threshold: mean LOF of the last ⌊ℓ/4⌋ trusted variations, each
         // scored leave-one-out against the remaining references.
         let tw = self.config.trust_window().min(refs.len().saturating_sub(2)).max(1);
-        let mut trusted = Vec::with_capacity(tw);
-        for phi in leave_one_out_scores(&refs, k, tw) {
-            let phi = phi?;
-            if phi.is_finite() {
-                trusted.push(phi);
-            }
-        }
+        let mut trusted = leave_one_out_scores(&refs, k, tw)?;
+        trusted.retain(|phi| phi.is_finite());
         let threshold = if trusted.is_empty() {
             // Degenerate (e.g. duplicate variations): fall back to the
             // canonical LOF inlier level.
@@ -380,7 +343,7 @@ impl Validator {
 
 /// Full forensics of one validation decision (see
 /// [`Validator::validate_detailed`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Diagnostics {
     /// The decision and its headline numbers.
     pub verdict: Verdict,

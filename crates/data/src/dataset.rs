@@ -3,7 +3,6 @@
 use baffle_tensor::Matrix;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A labelled classification dataset.
 ///
@@ -24,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(d.len(), 3);
 /// assert_eq!(d.class_counts(), vec![2, 1]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     x: Matrix,
     y: Vec<usize>,

@@ -3,7 +3,11 @@
 use crate::Dataset;
 use baffle_tensor::{rng as trng, Matrix};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+
+/// Distance scale between class prototypes.
+const PROTOTYPE_SCALE: f32 = 1.0;
+/// Offset scale of the semantic subgroups within a class.
+const SUBGROUP_SCALE: f32 = 0.45;
 
 /// Parameters of a [`SyntheticVision`] problem.
 ///
@@ -14,13 +18,11 @@ use serde::{Deserialize, Serialize};
 /// samples receive a uniformly random (wrong) label — this keeps trained
 /// models at a realistic, fluctuating per-class error level, which is the
 /// signal BaFFLe's cross-round analysis consumes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VisionSpec {
     num_classes: usize,
     input_dim: usize,
     subgroups_per_class: u16,
-    prototype_scale: f32,
-    subgroup_scale: f32,
     noise_std: f32,
     label_noise: f64,
 }
@@ -36,15 +38,7 @@ impl VisionSpec {
         assert!(num_classes >= 2, "VisionSpec: need at least two classes");
         assert!(input_dim > 0, "VisionSpec: input_dim must be positive");
         assert!(subgroups_per_class > 0, "VisionSpec: need at least one subgroup per class");
-        Self {
-            num_classes,
-            input_dim,
-            subgroups_per_class,
-            prototype_scale: 1.0,
-            subgroup_scale: 0.45,
-            noise_std: 0.55,
-            label_noise: 0.03,
-        }
+        Self { num_classes, input_dim, subgroups_per_class, noise_std: 0.55, label_noise: 0.03 }
     }
 
     /// The CIFAR-10 stand-in: 10 classes, 32 features, 4 semantic
@@ -60,18 +54,6 @@ impl VisionSpec {
     /// accuracy.
     pub fn femnist_like() -> Self {
         Self::new(62, 48, 3).with_noise_std(1.0).with_label_noise(0.06)
-    }
-
-    /// Sets the distance scale between class prototypes.
-    pub fn with_prototype_scale(mut self, s: f32) -> Self {
-        self.prototype_scale = s;
-        self
-    }
-
-    /// Sets the offset scale of semantic subgroups within a class.
-    pub fn with_subgroup_scale(mut self, s: f32) -> Self {
-        self.subgroup_scale = s;
-        self
     }
 
     /// Sets the per-coordinate sample noise.
@@ -140,9 +122,9 @@ impl SyntheticVision {
         let s = spec.subgroups_per_class as usize;
         // Prototype entries ~ N(0, scale²/√d) keeps pairwise class distances
         // comparable across dimensionalities.
-        let proto_std = spec.prototype_scale / (d as f32).sqrt().sqrt();
+        let proto_std = PROTOTYPE_SCALE / (d as f32).sqrt().sqrt();
         let prototypes = trng::normal_matrix(rng, c, d, proto_std);
-        let offset_std = spec.subgroup_scale / (d as f32).sqrt().sqrt();
+        let offset_std = SUBGROUP_SCALE / (d as f32).sqrt().sqrt();
         let offsets = trng::normal_matrix(rng, c * s, d, offset_std);
         Self { spec: spec.clone(), prototypes, offsets }
     }

@@ -1,7 +1,5 @@
 //! Federated-learning hyperparameters.
 
-use serde::{Deserialize, Serialize};
-
 /// Hyperparameters of the FL process (paper §II-B and §VI-A).
 ///
 /// Defaults follow the paper: 10 contributing clients per round, 2 local
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// let c = c.with_global_lr(1.0);
 /// assert_eq!(c.global_lr(), 1.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlConfig {
     num_clients: usize,
     clients_per_round: usize,

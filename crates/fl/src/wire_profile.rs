@@ -103,24 +103,6 @@ impl WireProfile {
         }
     }
 
-    /// Reads `BAFFLE_WIRE_PROFILE` (`f32`, `q8`, or `topk`): unset or
-    /// empty means [`WireProfile::lossless`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognised value — a misspelt profile silently
-    /// falling back to lossless would invalidate a bandwidth experiment.
-    pub fn from_env() -> Self {
-        match std::env::var("BAFFLE_WIRE_PROFILE").as_deref() {
-            Err(_) | Ok("") | Ok("f32") => Self::lossless(),
-            Ok("q8") => Self::quantized(),
-            Ok("topk") => Self::compact(),
-            Ok(other) => {
-                panic!("BAFFLE_WIRE_PROFILE: unknown profile {other:?} (want f32|q8|topk)")
-            }
-        }
-    }
-
     /// How many coordinates a top-k history delta keeps for an
     /// `n`-parameter model under this profile (`None` for dense
     /// history shipping).

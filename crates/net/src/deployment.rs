@@ -78,11 +78,11 @@ pub struct DeploymentConfig {
     /// is deep enough for validation (paper §IV-B).
     pub bootstrap_rounds: u64,
     /// How envelopes reach endpoints: in-process channels or
-    /// frame-encoded bytes over loopback sockets. Presets read
-    /// `BAFFLE_TRANSPORT` (see [`TransportMode::from_env`]).
+    /// frame-encoded bytes over loopback sockets. Presets fill
+    /// [`TransportMode::InProcess`]; this field is the only selector.
     pub transport: TransportMode,
     /// Wire codecs for models, updates and history shipping. Presets
-    /// read `BAFFLE_WIRE_PROFILE` (see [`WireProfile::from_env`]).
+    /// fill [`WireProfile::lossless`]; this field is the only selector.
     pub wire_profile: WireProfile,
 }
 
@@ -107,8 +107,8 @@ impl DeploymentConfig {
             faults: None,
             phase_timeout: Duration::from_secs(20),
             bootstrap_rounds: 5,
-            transport: TransportMode::from_env(),
-            wire_profile: WireProfile::from_env(),
+            transport: TransportMode::InProcess,
+            wire_profile: WireProfile::lossless(),
         }
     }
 
@@ -136,8 +136,8 @@ impl DeploymentConfig {
             faults: None,
             phase_timeout: Duration::from_secs(60),
             bootstrap_rounds: 0,
-            transport: TransportMode::from_env(),
-            wire_profile: WireProfile::from_env(),
+            transport: TransportMode::InProcess,
+            wire_profile: WireProfile::lossless(),
         }
     }
 }
@@ -642,5 +642,24 @@ impl Deployment {
             config,
             fl,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Transport and wire profile are config values, not ambient state:
+    /// the two variables earlier versions read have no effect. (Nothing
+    /// reads them, so setting them here cannot disturb sibling tests.)
+    #[test]
+    fn presets_and_networks_ignore_the_process_environment() {
+        std::env::set_var("BAFFLE_TRANSPORT", "tcp");
+        std::env::set_var("BAFFLE_WIRE_PROFILE", "q8");
+        for config in [DeploymentConfig::small(1), DeploymentConfig::at_scale(1, 100)] {
+            assert_eq!(config.transport, TransportMode::InProcess);
+            assert_eq!(config.wire_profile, WireProfile::lossless());
+        }
+        assert_eq!(Network::new().transport(), TransportMode::InProcess);
     }
 }

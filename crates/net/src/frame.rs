@@ -156,39 +156,52 @@ fn reason_from_bit(bit: u8) -> Option<AbstainReason> {
     })
 }
 
-/// Bounds-checked little-endian reader over a frame body.
-struct Cursor<'a> {
+/// Bounds-checked little-endian reader over a byte slice: the one
+/// cursor behind the frame, WAL-record and checkpoint decoders. A read
+/// past the end becomes `truncated(what)`, where `what` names the field
+/// being read — so each format keeps its own error type and wording.
+pub(crate) struct Cursor<'a, E> {
     buf: &'a [u8],
+    truncated: fn(&'static str) -> E,
 }
 
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+impl<'a, E> Cursor<'a, E> {
+    pub(crate) fn new(buf: &'a [u8], truncated: fn(&'static str) -> E) -> Self {
+        Self { buf, truncated }
+    }
+
+    pub(crate) fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], E> {
         if self.buf.len() < n {
-            return Err(DecodeError::malformed("frame body truncated"));
+            return Err((self.truncated)(what));
         }
         let (head, tail) = self.buf.split_at(n);
         self.buf = tail;
         Ok(head)
     }
 
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
+    pub(crate) fn u8(&mut self, what: &'static str) -> Result<u8, E> {
+        Ok(self.take(1, what)?[0])
     }
 
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+    pub(crate) fn u32(&mut self, what: &'static str) -> Result<u32, E> {
+        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().expect("4 bytes")))
     }
 
-    fn u64(&mut self) -> Result<u64, DecodeError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8-byte slice")))
+    pub(crate) fn u64(&mut self, what: &'static str) -> Result<u64, E> {
+        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().expect("8 bytes")))
     }
 
-    fn payload(&mut self) -> Result<Bytes, DecodeError> {
-        let len = self.u32()? as usize;
-        Ok(Bytes::copy_from_slice(self.take(len)?))
+    /// Whether every byte has been consumed — the decoders' closing
+    /// exact-boundary check.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.buf.is_empty()
     }
+}
+
+/// A `u32`-length-prefixed payload of a frame body.
+fn payload(c: &mut Cursor<'_, DecodeError>) -> Result<Bytes, DecodeError> {
+    let len = c.u32("payload length")? as usize;
+    Ok(Bytes::copy_from_slice(c.take(len, "payload")?))
 }
 
 /// Decodes one complete frame (header + body, exact length).
@@ -229,47 +242,49 @@ pub fn decode_frame(bytes: &[u8]) -> Result<Envelope, DecodeError> {
 }
 
 fn decode_body(body: &[u8]) -> Result<Envelope, DecodeError> {
-    let mut c = Cursor { buf: body };
-    let from = NodeId(c.u32()?);
-    let to = NodeId(c.u32()?);
-    let kind = c.u8()?;
+    // `DecodeError` carries a static message, so the field name is not
+    // part of it.
+    let mut c = Cursor::new(body, |_| DecodeError::malformed("frame body truncated"));
+    let from = NodeId(c.u32("from")?);
+    let to = NodeId(c.u32("to")?);
+    let kind = c.u8("kind")?;
     let message = match kind {
-        KIND_TRAIN => Message::TrainRequest { round: c.u64()?, global: c.payload()? },
+        KIND_TRAIN => Message::TrainRequest { round: c.u64("round")?, global: payload(&mut c)? },
         KIND_UPDATE => Message::UpdateSubmission {
-            round: c.u64()?,
-            from: NodeId(c.u32()?),
-            update: c.payload()?,
+            round: c.u64("round")?,
+            from: NodeId(c.u32("sender")?),
+            update: payload(&mut c)?,
         },
         KIND_VALIDATE => {
-            let round = c.u64()?;
-            let candidate = c.payload()?;
-            let entries = c.u32()? as usize;
+            let round = c.u64("round")?;
+            let candidate = payload(&mut c)?;
+            let entries = c.u32("history length")? as usize;
             let mut history_delta = Vec::new();
             for _ in 0..entries {
-                let id = c.u64()?;
-                let params = c.payload()?;
+                let id = c.u64("entry id")?;
+                let params = payload(&mut c)?;
                 history_delta.push(HistoryEntry { id, params });
             }
             Message::ValidateRequest { round, candidate, history_delta }
         }
         KIND_VOTE => Message::VoteSubmission {
-            round: c.u64()?,
-            from: NodeId(c.u32()?),
-            vote: match c.u8()? {
+            round: c.u64("round")?,
+            from: NodeId(c.u32("sender")?),
+            vote: match c.u8("vote")? {
                 0 => Vote::Accept,
                 1 => Vote::Reject,
                 _ => return Err(DecodeError::malformed("unknown vote encoding")),
             },
         },
         KIND_ABSTAIN => Message::Abstain {
-            round: c.u64()?,
-            from: NodeId(c.u32()?),
-            reason: reason_from_bit(c.u8()?)
+            round: c.u64("round")?,
+            from: NodeId(c.u32("sender")?),
+            reason: reason_from_bit(c.u8("reason")?)
                 .ok_or_else(|| DecodeError::malformed("unknown abstain reason"))?,
         },
         KIND_RESULT => Message::RoundResult {
-            round: c.u64()?,
-            accepted: match c.u8()? {
+            round: c.u64("round")?,
+            accepted: match c.u8("accepted")? {
                 0 => false,
                 1 => true,
                 _ => return Err(DecodeError::malformed("unknown round-result encoding")),
@@ -278,7 +293,7 @@ fn decode_body(body: &[u8]) -> Result<Envelope, DecodeError> {
         KIND_SHUTDOWN => Message::Shutdown,
         _ => return Err(DecodeError::malformed("unknown message kind")),
     };
-    if !c.buf.is_empty() {
+    if !c.is_empty() {
         return Err(DecodeError::malformed("trailing bytes inside frame body"));
     }
     Ok(Envelope { from, to, message })

@@ -1,5 +1,6 @@
 //! The coordinating server actor (Algorithm 1, server side).
 
+use crate::frame::Cursor;
 use crate::message::{AbstainReason, HistoryEntry, Message, NodeId};
 use crate::phase::PhaseLedger;
 use crate::transport::Endpoint;
@@ -191,33 +192,6 @@ fn window_entry(
         _ => None,
     };
     WindowEntry { id, lossless, full: codec.encode(params), delta }
-}
-
-/// Little-endian cursor over a checkpoint buffer.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], CheckpointError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| CheckpointError::new(format!("truncated reading {what}")))?;
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, CheckpointError> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, CheckpointError> {
-        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().expect("8 bytes")))
-    }
 }
 
 /// The server actor: owns the global model, the trusted history and the
@@ -432,7 +406,9 @@ impl Server {
         server_data: Dataset,
         checkpoint: &[u8],
     ) -> Result<Self, CheckpointError> {
-        let mut r = Reader { buf: checkpoint, pos: 0 };
+        let mut r = Cursor::new(checkpoint, |what| {
+            CheckpointError::new(format!("truncated reading {what}"))
+        });
         if r.u32("magic")? != CHECKPOINT_MAGIC {
             return Err(CheckpointError::new("bad magic"));
         }
@@ -524,7 +500,7 @@ impl Server {
             let id = r.u64("sync point")?;
             committed.push((client, id));
         }
-        if r.pos != checkpoint.len() {
+        if !r.is_empty() {
             return Err(CheckpointError::new("trailing bytes"));
         }
         let global = models.last().expect("n_entries >= 1").1.clone();

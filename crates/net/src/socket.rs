@@ -36,36 +36,24 @@ pub enum SocketKind {
 }
 
 /// How envelopes travel from the network's delivery step to endpoints.
+///
+/// A value, never ambient state: a deployment takes it from
+/// [`DeploymentConfig::transport`], a bare network from
+/// [`Network::with_transport`]; nothing reads the process environment.
+/// Tests that must hold on every transport loop over the modes.
+///
+/// [`DeploymentConfig::transport`]: crate::deployment::DeploymentConfig::transport
+/// [`Network::with_transport`]: crate::transport::Network::with_transport
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportMode {
-    /// Crossbeam channels, no serialisation — the historical default.
+    /// Crossbeam channels, no serialisation — what every preset and
+    /// [`Network::new`](crate::transport::Network::new) use.
     InProcess,
     /// Frame-encoded bytes over loopback sockets.
     Socket(SocketKind),
 }
 
 impl TransportMode {
-    /// Reads `BAFFLE_TRANSPORT`: unset, empty, or `channel` selects
-    /// [`TransportMode::InProcess`]; `tcp` and `unix` select the
-    /// corresponding socket transport. This is how CI runs the whole
-    /// `baffle-net` suite over loopback sockets without touching any
-    /// test code.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognised value — a typo silently falling back
-    /// to channels would void a wire-level test run.
-    pub fn from_env() -> Self {
-        match std::env::var("BAFFLE_TRANSPORT").as_deref() {
-            Err(_) | Ok("") | Ok("channel") => TransportMode::InProcess,
-            Ok("tcp") => TransportMode::Socket(SocketKind::Tcp),
-            Ok("unix") => TransportMode::Socket(SocketKind::Unix),
-            Ok(other) => {
-                panic!("BAFFLE_TRANSPORT: unknown transport {other:?} (want channel|tcp|unix)")
-            }
-        }
-    }
-
     /// Short name for reports and logs.
     pub fn label(self) -> &'static str {
         match self {

@@ -239,7 +239,7 @@ fn run_pump(queue: Arc<DelayQueue>, inner: Weak<NetworkInner>) {
 }
 
 impl Network {
-    /// Creates a lossless network.
+    /// Creates a lossless in-process network.
     pub fn new() -> Self {
         Self::with_faults(FaultPlan::lossless(0))
     }
@@ -255,12 +255,12 @@ impl Network {
         Self::with_faults(FaultPlan::uniform(LinkPolicy::lossless().with_drop(drop_prob), seed))
     }
 
-    /// Creates a network governed by the given fault plan, in the
-    /// transport mode selected by `BAFFLE_TRANSPORT` (see
-    /// [`TransportMode::from_env`]). The delivery pump thread is spawned
-    /// only when the plan can defer messages.
+    /// Creates an in-process network governed by the given fault plan
+    /// (sockets are [`Network::with_transport`]'s to ask for). The
+    /// delivery pump thread is spawned only when the plan can defer
+    /// messages.
     pub fn with_faults(plan: FaultPlan) -> Self {
-        Self::with_transport(plan, TransportMode::from_env())
+        Self::with_transport(plan, TransportMode::InProcess)
     }
 
     /// Creates a network governed by the given fault plan over an

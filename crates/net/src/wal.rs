@@ -61,7 +61,7 @@
 //! to the tailer as the log shrinking; it then reloads the checkpoint
 //! and resumes from offset zero.
 
-use crate::frame::{read_body_chunked, read_header, MAX_BODY};
+use crate::frame::{read_body_chunked, read_header, Cursor, MAX_BODY};
 use crate::message::NodeId;
 use crate::server::{Server, ServerConfig, ServerRound};
 use crate::transport::{Endpoint, Network};
@@ -234,48 +234,21 @@ pub fn encode_record(record: &WalRecord) -> Bytes {
     buf.freeze()
 }
 
-/// Bounds-checked little-endian reader over a record body.
-struct Cursor<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], WalError> {
-        if self.buf.len() < n {
-            return Err(WalError::Corrupt(format!("record body truncated reading {what}")));
-        }
-        let (head, tail) = self.buf.split_at(n);
-        self.buf = tail;
-        Ok(head)
+/// The sync-point diff both outcome records end with.
+fn sync_diff(c: &mut Cursor<'_, WalError>) -> Result<SyncDiff, WalError> {
+    let n_commits = c.u32("commit count")? as usize;
+    let mut commits = Vec::with_capacity(n_commits.min(1 << 16));
+    for _ in 0..n_commits {
+        let client = c.u64("commit client")?;
+        let id = c.u64("commit point")?;
+        commits.push((client, id));
     }
-
-    fn u8(&mut self, what: &str) -> Result<u8, WalError> {
-        Ok(self.take(1, what)?[0])
+    let n_resets = c.u32("reset count")? as usize;
+    let mut resets = Vec::with_capacity(n_resets.min(1 << 16));
+    for _ in 0..n_resets {
+        resets.push(c.u64("reset client")?);
     }
-
-    fn u32(&mut self, what: &str) -> Result<u32, WalError> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, WalError> {
-        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().expect("8 bytes")))
-    }
-
-    fn sync_diff(&mut self) -> Result<SyncDiff, WalError> {
-        let n_commits = self.u32("commit count")? as usize;
-        let mut commits = Vec::with_capacity(n_commits.min(1 << 16));
-        for _ in 0..n_commits {
-            let client = self.u64("commit client")?;
-            let id = self.u64("commit point")?;
-            commits.push((client, id));
-        }
-        let n_resets = self.u32("reset count")? as usize;
-        let mut resets = Vec::with_capacity(n_resets.min(1 << 16));
-        for _ in 0..n_resets {
-            resets.push(self.u64("reset client")?);
-        }
-        Ok((commits, resets))
-    }
+    Ok((commits, resets))
 }
 
 /// Decodes the first record in `buf`, if a complete one is present.
@@ -310,7 +283,9 @@ pub fn decode_record(buf: &[u8]) -> Result<Option<(WalRecord, usize)>, WalError>
     if wire::fnv1a(body) != word(12) {
         return Err(WalError::Corrupt("record checksum mismatch".into()));
     }
-    let mut c = Cursor { buf: body };
+    let mut c = Cursor::new(body, |what| {
+        WalError::Corrupt(format!("record body truncated reading {what}"))
+    });
     let kind = c.u8("kind")?;
     let round = c.u64("round")?;
     let rng_stream = c.u64("rng stream")?;
@@ -319,16 +294,16 @@ pub fn decode_record(buf: &[u8]) -> Result<Option<(WalRecord, usize)>, WalError>
         KIND_ACCEPTED => {
             let model_len = c.u32("model length")? as usize;
             let model = Bytes::copy_from_slice(c.take(model_len, "model payload")?);
-            let (sync_commits, sync_resets) = c.sync_diff()?;
+            let (sync_commits, sync_resets) = sync_diff(&mut c)?;
             WalRecord::RoundAccepted { round, rng_stream, model, sync_commits, sync_resets }
         }
         KIND_REJECTED => {
-            let (sync_commits, sync_resets) = c.sync_diff()?;
+            let (sync_commits, sync_resets) = sync_diff(&mut c)?;
             WalRecord::RoundRejected { round, rng_stream, sync_commits, sync_resets }
         }
         other => return Err(WalError::Corrupt(format!("unknown record kind {other}"))),
     };
-    if !c.buf.is_empty() {
+    if !c.is_empty() {
         return Err(WalError::Corrupt("trailing bytes inside record body".into()));
     }
     Ok(Some((record, WAL_HEADER + body_len)))

@@ -23,12 +23,16 @@
 //! - **Checkpoint v2**: the whole-body checksum catches any damage, and
 //!   pre-checksum v1 blobs are refused by name.
 
+mod common;
+
 use baffle_core::{ValidationConfig, Validator, Vote};
 use baffle_data::Dataset;
 use baffle_fl::{FlConfig, WireProfile};
 use baffle_net::deployment::{Deployment, DeploymentConfig, DeploymentParts};
+use baffle_net::fault::FaultPlan;
 use baffle_net::message::{AbstainReason, Message, NodeId};
 use baffle_net::server::{Server, ServerConfig, ServerRound};
+use baffle_net::socket::TransportMode;
 use baffle_net::transport::{Endpoint, Network};
 use baffle_net::wal::{
     decode_record, encode_record, recover, DurableServer, RecoveryInfo, RestoreKit, Standby,
@@ -36,6 +40,7 @@ use baffle_net::wal::{
 };
 use baffle_nn::{wire, Mlp, MlpSpec, Model};
 use bytes::Bytes;
+use common::on_each_transport;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::Write;
@@ -282,26 +287,32 @@ fn drive_durable(
 /// **byte-identical** to the uninterrupted one.
 #[test]
 fn replayed_server_produces_byte_identical_next_checkpoint() {
-    let config = DeploymentConfig::small(11);
-    let dir_a = test_dir("replay-a");
-    let dir_b = test_dir("replay-b");
-    let (rounds_a, blob_a, info_a) =
-        drive_durable(Deployment::build(config.clone()), &dir_a, 0, None);
-    let (rounds_b, blob_b, info_b) = drive_durable(Deployment::build(config), &dir_b, 2, Some(4));
-    let _ = std::fs::remove_dir_all(&dir_a);
-    let _ = std::fs::remove_dir_all(&dir_b);
+    on_each_transport(|transport| {
+        let config = DeploymentConfig { transport, ..DeploymentConfig::small(11) };
+        let dir_a = test_dir(&format!("replay-a-{}", transport.label()));
+        let dir_b = test_dir(&format!("replay-b-{}", transport.label()));
+        let (rounds_a, blob_a, info_a) =
+            drive_durable(Deployment::build(config.clone()), &dir_a, 0, None);
+        let (rounds_b, blob_b, info_b) =
+            drive_durable(Deployment::build(config), &dir_b, 2, Some(4));
+        let _ = std::fs::remove_dir_all(&dir_a);
+        let _ = std::fs::remove_dir_all(&dir_b);
 
-    assert!(info_a.is_none(), "the uninterrupted run never recovers");
-    // Compaction ran after round 2, so recovery loads that checkpoint
-    // and replays exactly round 3 from the tail. Nothing was torn.
-    assert_eq!(info_b, Some(RecoveryInfo { checkpoint_round: 2, replayed: 1, torn_round: None }));
-    let a: Vec<ServerRound> = rounds_a.iter().map(normalized).collect();
-    let b: Vec<ServerRound> = rounds_b.iter().map(normalized).collect();
-    assert_eq!(a, b, "a recovered server must replay the uninterrupted run exactly");
-    assert_eq!(
-        blob_a, blob_b,
-        "replay from checkpoint + WAL tail must reproduce the state byte-for-byte"
-    );
+        assert!(info_a.is_none(), "the uninterrupted run never recovers");
+        // Compaction ran after round 2, so recovery loads that checkpoint
+        // and replays exactly round 3 from the tail. Nothing was torn.
+        assert_eq!(
+            info_b,
+            Some(RecoveryInfo { checkpoint_round: 2, replayed: 1, torn_round: None })
+        );
+        let a: Vec<ServerRound> = rounds_a.iter().map(normalized).collect();
+        let b: Vec<ServerRound> = rounds_b.iter().map(normalized).collect();
+        assert_eq!(a, b, "a recovered server must replay the uninterrupted run exactly");
+        assert_eq!(
+            blob_a, blob_b,
+            "replay from checkpoint + WAL tail must reproduce the state byte-for-byte"
+        );
+    });
 }
 
 /// Runs four scripted rounds under `profile` with the server journaled
@@ -316,12 +327,13 @@ fn replayed_server_produces_byte_identical_next_checkpoint() {
 /// (a dense head, then — under a top-k profile — chained deltas) while
 /// clients 0 and 1 get the newest entry on their chain.
 fn fourth_round_on_the_wire(
+    transport: TransportMode,
     profile: WireProfile,
     recover_first: bool,
     tag: &str,
 ) -> (ServerRound, Vec<(NodeId, Message)>) {
-    let dir = test_dir(tag);
-    let network = Network::new();
+    let dir = test_dir(&format!("{tag}-{}", transport.label()));
+    let network = Network::with_transport(FaultPlan::lossless(0), transport);
     let mut rng = StdRng::seed_from_u64(5);
     let initial = Mlp::new(&MlpSpec::new(8, &[16], 4), &mut rng);
     let config = ServerConfig { wire: profile, ..scripted_config(5, 2_000) };
@@ -399,29 +411,35 @@ fn fourth_round_on_the_wire(
 /// uninterrupted server sends, and books the same shipped bytes.
 #[test]
 fn recovered_server_ships_the_live_servers_wire_window() {
-    for profile in [WireProfile::quantized(), WireProfile::compact()] {
-        let label = profile.label();
-        let (live, live_requests) =
-            fourth_round_on_the_wire(profile, false, &format!("wire-live-{label}"));
-        let (replayed, replayed_requests) =
-            fourth_round_on_the_wire(profile, true, &format!("wire-replayed-{label}"));
+    on_each_transport(|transport| {
+        for profile in [WireProfile::quantized(), WireProfile::compact()] {
+            let label = profile.label();
+            let (live, live_requests) =
+                fourth_round_on_the_wire(transport, profile, false, &format!("wire-live-{label}"));
+            let (replayed, replayed_requests) = fourth_round_on_the_wire(
+                transport,
+                profile,
+                true,
+                &format!("wire-replayed-{label}"),
+            );
 
-        // The scenario is the one described: everybody was asked, client
-        // 2 got the whole window, the others one entry.
-        let shipped: Vec<usize> = live_requests
-            .iter()
-            .map(|(_, m)| match m {
-                Message::ValidateRequest { history_delta, .. } => history_delta.len(),
-                other => panic!("recorded a {}", other.kind()),
-            })
-            .collect();
-        assert_eq!(shipped, vec![1, 1, 4], "{label}");
+            // The scenario is the one described: everybody was asked, client
+            // 2 got the whole window, the others one entry.
+            let shipped: Vec<usize> = live_requests
+                .iter()
+                .map(|(_, m)| match m {
+                    Message::ValidateRequest { history_delta, .. } => history_delta.len(),
+                    other => panic!("recorded a {}", other.kind()),
+                })
+                .collect();
+            assert_eq!(shipped, vec![1, 1, 4], "{label}");
 
-        assert_eq!(replayed_requests, live_requests, "{label}: ValidateRequest bytes differ");
-        assert_eq!(replayed.history_bytes_shipped, live.history_bytes_shipped, "{label}");
-        assert!(live.history_bytes_shipped > 0, "{label}");
-        assert_eq!(normalized(&replayed), normalized(&live), "{label}");
-    }
+            assert_eq!(replayed_requests, live_requests, "{label}: ValidateRequest bytes differ");
+            assert_eq!(replayed.history_bytes_shipped, live.history_bytes_shipped, "{label}");
+            assert!(live.history_bytes_shipped > 0, "{label}");
+            assert_eq!(normalized(&replayed), normalized(&live), "{label}");
+        }
+    });
 }
 
 /// A crash *inside* a round — `RoundStart` journaled, outcome never —
@@ -431,138 +449,148 @@ fn recovered_server_ships_the_live_servers_wire_window() {
 /// as rejected.
 #[test]
 fn torn_round_is_re_asked_and_duplicate_safe() {
-    let dir = test_dir("torn");
-    let network = Network::new();
-    let initial = tiny_model(7);
-    let config = scripted_config(7, 2_000);
-    let server = scripted_server(&network, &config, &initial);
-    let kit = kit_for(&config, &initial);
-    let deltas = Mutex::new(Vec::new());
+    on_each_transport(|transport| {
+        let dir = test_dir(&format!("torn-{}", transport.label()));
+        let network = Network::with_transport(FaultPlan::lossless(0), transport);
+        let initial = tiny_model(7);
+        let config = scripted_config(7, 2_000);
+        let server = scripted_server(&network, &config, &initial);
+        let kit = kit_for(&config, &initial);
+        let deltas = Mutex::new(Vec::new());
 
-    let (rounds, info) = crossbeam::thread::scope(|scope| {
-        for c in 0..NUM_CLIENTS {
-            let endpoint = network.register(NodeId(c as u32));
-            let n_params = initial.num_params();
-            let deltas = &deltas;
-            scope.spawn(move |_| run_recording_client(endpoint, n_params, deltas));
-        }
-        let mut durable = DurableServer::create(&dir, 0, server).expect("create durability dir");
-        let mut rounds = Vec::new();
-        for r in 1..=2 {
-            network.begin_round(r);
-            rounds.push(durable.run_round().expect("journal round"));
-        }
-        // Round 3 runs to completion, but its outcome record never
-        // lands — the process "dies" holding an undurable decision.
-        network.begin_round(3);
-        let torn = durable.run_round_torn().expect("journal torn start");
-        assert_eq!(torn.round, 3);
-        assert_eq!(torn.votes_received, NUM_CLIENTS, "the doomed round really ran");
+        let (rounds, info) = crossbeam::thread::scope(|scope| {
+            for c in 0..NUM_CLIENTS {
+                let endpoint = network.register(NodeId(c as u32));
+                let n_params = initial.num_params();
+                let deltas = &deltas;
+                scope.spawn(move |_| run_recording_client(endpoint, n_params, deltas));
+            }
+            let mut durable =
+                DurableServer::create(&dir, 0, server).expect("create durability dir");
+            let mut rounds = Vec::new();
+            for r in 1..=2 {
+                network.begin_round(r);
+                rounds.push(durable.run_round().expect("journal round"));
+            }
+            // Round 3 runs to completion, but its outcome record never
+            // lands — the process "dies" holding an undurable decision.
+            network.begin_round(3);
+            let torn = durable.run_round_torn().expect("journal torn start");
+            assert_eq!(torn.round, 3);
+            assert_eq!(torn.votes_received, NUM_CLIENTS, "the doomed round really ran");
 
-        let endpoint = durable.into_inner().into_endpoint();
-        let (mut server, info) = recover(&dir, endpoint, kit).expect("recover");
-        assert_eq!(server.round(), 2, "recovered to the state entering the torn round");
-        // Re-ask: same round number, fresh ledger, clients answer again.
-        rounds.push(server.run_round());
-        network.begin_round(4);
-        rounds.push(server.run_round());
-        server.shutdown();
-        (rounds, info)
-    })
-    .expect("client thread panicked");
-    let _ = std::fs::remove_dir_all(&dir);
+            let endpoint = durable.into_inner().into_endpoint();
+            let (mut server, info) = recover(&dir, endpoint, kit).expect("recover");
+            assert_eq!(server.round(), 2, "recovered to the state entering the torn round");
+            // Re-ask: same round number, fresh ledger, clients answer again.
+            rounds.push(server.run_round());
+            network.begin_round(4);
+            rounds.push(server.run_round());
+            server.shutdown();
+            (rounds, info)
+        })
+        .expect("client thread panicked");
+        let _ = std::fs::remove_dir_all(&dir);
 
-    assert_eq!(info, RecoveryInfo { checkpoint_round: 0, replayed: 2, torn_round: Some(3) });
-    let round_numbers: Vec<u64> = rounds.iter().map(|r| r.round).collect();
-    assert_eq!(round_numbers, vec![1, 2, 3, 4], "the torn round is re-run under its own number");
-    for r in &rounds {
-        assert!(r.accepted, "round {}: all-honest rounds accept", r.round);
-        assert_eq!(r.votes_received, NUM_CLIENTS, "round {}", r.round);
-        // The duplicate-safety condition: straggling or repeated
-        // submissions from the torn ask are never booked as rejections.
-        assert_eq!(r.rejected_submissions, 0, "round {}", r.round);
-        assert_eq!(r.rejected_votes, 0, "round {}", r.round);
-    }
-    // Both asks of round 3 shipped the identical history delta: the
-    // recovered sync state equals the pre-round state, so the re-ask
-    // re-ships exactly what the torn ask shipped.
-    let log = deltas.into_inner().unwrap();
-    for c in 0..NUM_CLIENTS as u32 {
-        let round3: Vec<Vec<u64>> = log
-            .iter()
-            .filter(|(id, r, _)| *id == NodeId(c) && *r == 3)
-            .map(|(_, _, ids)| ids.clone())
-            .collect();
+        assert_eq!(info, RecoveryInfo { checkpoint_round: 0, replayed: 2, torn_round: Some(3) });
+        let round_numbers: Vec<u64> = rounds.iter().map(|r| r.round).collect();
         assert_eq!(
-            round3,
-            vec![vec![2], vec![2]],
-            "client {c}: torn ask and re-ask must ship the same delta"
+            round_numbers,
+            vec![1, 2, 3, 4],
+            "the torn round is re-run under its own number"
         );
-    }
+        for r in &rounds {
+            assert!(r.accepted, "round {}: all-honest rounds accept", r.round);
+            assert_eq!(r.votes_received, NUM_CLIENTS, "round {}", r.round);
+            // The duplicate-safety condition: straggling or repeated
+            // submissions from the torn ask are never booked as rejections.
+            assert_eq!(r.rejected_submissions, 0, "round {}", r.round);
+            assert_eq!(r.rejected_votes, 0, "round {}", r.round);
+        }
+        // Both asks of round 3 shipped the identical history delta: the
+        // recovered sync state equals the pre-round state, so the re-ask
+        // re-ships exactly what the torn ask shipped.
+        let log = deltas.into_inner().unwrap();
+        for c in 0..NUM_CLIENTS as u32 {
+            let round3: Vec<Vec<u64>> = log
+                .iter()
+                .filter(|(id, r, _)| *id == NodeId(c) && *r == 3)
+                .map(|(_, _, ids)| ids.clone())
+                .collect();
+            assert_eq!(
+                round3,
+                vec![vec![2], vec![2]],
+                "client {c}: torn ask and re-ask must ship the same delta"
+            );
+        }
+    });
 }
 
 /// A standby fed the primary's log **over a socket** — instead of
 /// tailing the shared file — ends in the same byte-identical state.
 #[test]
 fn standby_ingests_wal_over_a_socket_stream() {
-    let dir = test_dir("stream-src");
-    let dir2 = test_dir("stream-dst");
-    let network = Network::new();
-    let initial = tiny_model(7);
-    let config = scripted_config(7, 2_000);
-    let server = scripted_server(&network, &config, &initial);
-    let kit = kit_for(&config, &initial);
-    let deltas = Mutex::new(Vec::new());
+    on_each_transport(|transport| {
+        let dir = test_dir(&format!("stream-src-{}", transport.label()));
+        let dir2 = test_dir(&format!("stream-dst-{}", transport.label()));
+        let network = Network::with_transport(FaultPlan::lossless(0), transport);
+        let initial = tiny_model(7);
+        let config = scripted_config(7, 2_000);
+        let server = scripted_server(&network, &config, &initial);
+        let kit = kit_for(&config, &initial);
+        let deltas = Mutex::new(Vec::new());
 
-    let final_blob = crossbeam::thread::scope(|scope| {
-        for c in 0..NUM_CLIENTS {
-            let endpoint = network.register(NodeId(c as u32));
-            let n_params = initial.num_params();
-            let deltas = &deltas;
-            scope.spawn(move |_| run_recording_client(endpoint, n_params, deltas));
-        }
-        let mut durable = DurableServer::create(&dir, 0, server).expect("create durability dir");
-        for r in 1..=3 {
-            network.begin_round(r);
-            durable.run_round().expect("journal round");
-        }
-        let server = durable.into_inner();
-        let blob = server.checkpoint();
-        server.shutdown();
-        blob
-    })
-    .expect("client thread panicked");
+        let final_blob = crossbeam::thread::scope(|scope| {
+            for c in 0..NUM_CLIENTS {
+                let endpoint = network.register(NodeId(c as u32));
+                let n_params = initial.num_params();
+                let deltas = &deltas;
+                scope.spawn(move |_| run_recording_client(endpoint, n_params, deltas));
+            }
+            let mut durable =
+                DurableServer::create(&dir, 0, server).expect("create durability dir");
+            for r in 1..=3 {
+                network.begin_round(r);
+                durable.run_round().expect("journal round");
+            }
+            let server = durable.into_inner();
+            let blob = server.checkpoint();
+            server.shutdown();
+            blob
+        })
+        .expect("client thread panicked");
 
-    // The standby starts from the checkpoint as shipped (cut at launch —
-    // the primary never compacted) and receives the log over loopback.
-    std::fs::create_dir_all(&dir2).unwrap();
-    std::fs::copy(dir.join(CHECKPOINT_FILE), dir2.join(CHECKPOINT_FILE)).unwrap();
-    let mut standby = Standby::attach(&dir2, kit).expect("attach standby");
-    assert_eq!(standby.round(), 0, "the shipped checkpoint predates every round");
+        // The standby starts from the checkpoint as shipped (cut at launch —
+        // the primary never compacted) and receives the log over loopback.
+        std::fs::create_dir_all(&dir2).unwrap();
+        std::fs::copy(dir.join(CHECKPOINT_FILE), dir2.join(CHECKPOINT_FILE)).unwrap();
+        let mut standby = Standby::attach(&dir2, kit).expect("attach standby");
+        assert_eq!(standby.round(), 0, "the shipped checkpoint predates every round");
 
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let wal_bytes = std::fs::read(dir.join(WAL_FILE)).unwrap();
-    let writer = std::thread::spawn(move || {
-        let (mut sock, _) = listener.accept().unwrap();
-        sock.write_all(&wal_bytes).unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let wal_bytes = std::fs::read(dir.join(WAL_FILE)).unwrap();
+        let writer = std::thread::spawn(move || {
+            let (mut sock, _) = listener.accept().unwrap();
+            sock.write_all(&wal_bytes).unwrap();
+        });
+        let stream = TcpStream::connect(addr).unwrap();
+        let applied = standby.ingest_stream(stream).expect("ingest log over socket");
+        writer.join().unwrap();
+
+        assert_eq!(applied, 6, "three round starts + three outcomes");
+        assert_eq!(standby.round(), 3);
+        assert_eq!(standby.torn_round(), None);
+        let (server, info) = standby.promote(Network::new().register(NodeId::SERVER));
+        assert_eq!(info.replayed, 3);
+        assert_eq!(
+            server.checkpoint(),
+            final_blob,
+            "a socket-fed standby must reproduce the primary's state byte-for-byte"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&dir2);
     });
-    let stream = TcpStream::connect(addr).unwrap();
-    let applied = standby.ingest_stream(stream).expect("ingest log over socket");
-    writer.join().unwrap();
-
-    assert_eq!(applied, 6, "three round starts + three outcomes");
-    assert_eq!(standby.round(), 3);
-    assert_eq!(standby.torn_round(), None);
-    let (server, info) = standby.promote(Network::new().register(NodeId::SERVER));
-    assert_eq!(info.replayed, 3);
-    assert_eq!(
-        server.checkpoint(),
-        final_blob,
-        "a socket-fed standby must reproduce the primary's state byte-for-byte"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&dir2);
 }
 
 /// The checkpoint's whole-body checksum catches any damage, and the
@@ -570,38 +598,41 @@ fn standby_ingests_wal_over_a_socket_stream() {
 /// instead of being misparsed.
 #[test]
 fn checkpoint_v2_rejects_damage_and_v1_blobs() {
-    let network = Network::new();
-    let initial = tiny_model(3);
-    let config = scripted_config(7, 500);
-    let server = scripted_server(&network, &config, &initial);
-    let blob = server.checkpoint();
-    let attempt = |id: u32, blob: &[u8]| {
-        Server::restore(
-            network.register(NodeId(id)),
-            config.clone(),
-            initial.clone(),
-            5,
-            validator(),
-            Dataset::empty(2, 2),
-            blob,
-        )
-    };
+    on_each_transport(|transport| {
+        let network = Network::with_transport(FaultPlan::lossless(0), transport);
+        let initial = tiny_model(3);
+        let config = scripted_config(7, 500);
+        let server = scripted_server(&network, &config, &initial);
+        let blob = server.checkpoint();
+        let attempt = |id: u32, blob: &[u8]| {
+            Server::restore(
+                network.register(NodeId(id)),
+                config.clone(),
+                initial.clone(),
+                5,
+                validator(),
+                Dataset::empty(2, 2),
+                blob,
+            )
+        };
 
-    assert!(attempt(90, &blob).is_ok());
-    // Any body flip trips the whole-blob checksum — including in fields
-    // the v1 layout would have parsed without complaint.
-    for (i, at) in [12usize, 16, blob.len() / 2, blob.len() - 1].into_iter().enumerate() {
-        let mut bad = blob.to_vec();
-        bad[at] ^= 0x01;
-        let err =
-            attempt(91 + i as u32, &bad).expect_err("damaged blob must not restore").to_string();
-        assert!(err.contains("checksum"), "flip at {at}: {err}");
-    }
-    // A v1 blob (no checksum word) is refused by name.
-    let mut v1 = Vec::new();
-    v1.extend_from_slice(&blob[..4]);
-    v1.extend_from_slice(&1u32.to_le_bytes());
-    v1.extend_from_slice(&blob[12..]);
-    let err = attempt(99, &v1).expect_err("v1 blob must not restore").to_string();
-    assert!(err.contains("version 1"), "{err}");
+        assert!(attempt(90, &blob).is_ok());
+        // Any body flip trips the whole-blob checksum — including in fields
+        // the v1 layout would have parsed without complaint.
+        for (i, at) in [12usize, 16, blob.len() / 2, blob.len() - 1].into_iter().enumerate() {
+            let mut bad = blob.to_vec();
+            bad[at] ^= 0x01;
+            let err = attempt(91 + i as u32, &bad)
+                .expect_err("damaged blob must not restore")
+                .to_string();
+            assert!(err.contains("checksum"), "flip at {at}: {err}");
+        }
+        // A v1 blob (no checksum word) is refused by name.
+        let mut v1 = Vec::new();
+        v1.extend_from_slice(&blob[..4]);
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        v1.extend_from_slice(&blob[12..]);
+        let err = attempt(99, &v1).expect_err("v1 blob must not restore").to_string();
+        assert!(err.contains("version 1"), "{err}");
+    });
 }

@@ -13,6 +13,8 @@
 //! `ServerRound` counters whether it fires in the update phase or in the
 //! vote phase.
 
+mod common;
+
 use baffle_core::{ValidationConfig, Validator, Vote};
 use baffle_data::Dataset;
 use baffle_fl::{FlConfig, WireProfile};
@@ -22,6 +24,7 @@ use baffle_net::server::{Server, ServerConfig, ServerRound};
 use baffle_net::socket::TransportMode;
 use baffle_net::transport::{Endpoint, Network};
 use baffle_nn::{wire, Mlp, MlpSpec, Model};
+use common::on_each_transport;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;
@@ -91,148 +94,23 @@ fn accept_vote(endpoint: &Endpoint, round: u64) {
 
 #[test]
 fn unsolicited_update_cannot_reach_aggregation() {
-    let network = Network::new();
-    let initial = tiny_model(1);
-    let before = initial.params();
-    let mut server = make_server(&network, 2, 2_000, &initial);
+    on_each_transport(|transport| {
+        let network = Network::with_transport(FaultPlan::lossless(0), transport);
+        let initial = tiny_model(1);
+        let before = initial.params();
+        let mut server = make_server(&network, 2, 2_000, &initial);
 
-    // A node that was never sampled injects a boosted "update" before the
-    // round even starts — it is the first thing the server dequeues.
-    let rogue = network.register(NodeId(9));
-    rogue.send(
-        NodeId::SERVER,
-        Message::UpdateSubmission {
-            round: 1,
-            from: NodeId(9),
-            update: wire::encode_f32(&vec![1e6; initial.num_params()]),
-        },
-    );
-
-    let round = crossbeam::thread::scope(|scope| {
-        for c in 0..NUM_CLIENTS {
-            let endpoint = network.register(NodeId(c as u32));
-            let zeros = vec![0.0f32; initial.num_params()];
-            scope.spawn(move |_| run_scripted_client(endpoint, zeros, accept_vote));
-        }
-        let round = server.run_round();
-        server.shutdown();
-        round
-    })
-    .expect("client thread panicked");
-
-    assert_eq!(round.rejected_submissions, 1, "the rogue update must be counted as rejected");
-    assert_eq!(round.updates_received, NUM_CLIENTS, "all honest updates still aggregate");
-    assert!(round.accepted);
-    // All honest updates were zero, so the global model must be exactly
-    // unchanged: the 1e6-boosted injection never touched FedAvg.
-    assert_eq!(server.global_model().params(), before);
-}
-
-#[test]
-fn wrong_length_update_is_discarded_not_fatal() {
-    let network = Network::new();
-    let initial = tiny_model(2);
-    let before = initial.params();
-    let mut server = make_server(&network, 2, 600, &initial);
-
-    let round = crossbeam::thread::scope(|scope| {
-        for c in 0..NUM_CLIENTS {
-            let endpoint = network.register(NodeId(c as u32));
-            // Client 2 is sampled but buggy/malicious: its update has half
-            // the parameters. Pre-fix this panicked the server inside the
-            // aggregation kernel.
-            let update = if c == 2 {
-                vec![0.0f32; initial.num_params() / 2]
-            } else {
-                vec![0.0f32; initial.num_params()]
-            };
-            scope.spawn(move |_| run_scripted_client(endpoint, update, accept_vote));
-        }
-        let round = server.run_round();
-        server.shutdown();
-        round
-    })
-    .expect("client thread panicked");
-
-    assert_eq!(round.rejected_submissions, 1);
-    assert_eq!(round.updates_received, NUM_CLIENTS - 1);
-    assert!(round.accepted);
-    assert_eq!(server.global_model().params(), before);
-}
-
-#[test]
-fn duplicate_update_submissions_keep_the_first() {
-    let network = Network::new();
-    let initial = tiny_model(4);
-    let before = initial.params();
-    let mut server = make_server(&network, 2, 600, &initial);
-
-    let round = crossbeam::thread::scope(|scope| {
-        // Client 0 double-submits: first a zero update, then a boosted
-        // one. First wins; the duplicate must be rejected at intake.
-        let dup = network.register(NodeId(0));
-        let n_params = initial.num_params();
-        scope.spawn(move |_| {
-            while let Ok(env) = dup.recv() {
-                match env.message {
-                    Message::TrainRequest { round, .. } => {
-                        for update in [vec![0.0f32; n_params], vec![1e6; n_params]] {
-                            dup.send(
-                                NodeId::SERVER,
-                                Message::UpdateSubmission {
-                                    round,
-                                    from: dup.id(),
-                                    update: wire::encode_f32(&update),
-                                },
-                            );
-                        }
-                    }
-                    Message::ValidateRequest { round, .. } => accept_vote(&dup, round),
-                    Message::Shutdown => break,
-                    _ => {}
-                }
-            }
-        });
-        let honest = network.register(NodeId(1));
-        let zeros = vec![0.0f32; initial.num_params()];
-        scope.spawn(move |_| run_scripted_client(honest, zeros, accept_vote));
-        // Client 2 is mute: the phases run to their (short) timeout, so
-        // the server is guaranteed to drain the duplicate submission.
-        let mute = network.register(NodeId(2));
-        scope.spawn(move |_| {
-            while let Ok(env) = mute.recv() {
-                if env.message == Message::Shutdown {
-                    break;
-                }
-            }
-        });
-
-        let round = server.run_round();
-        server.shutdown();
-        round
-    })
-    .expect("client thread panicked");
-
-    // A repeat to an already-settled slot is indistinguishable from a
-    // link-level duplicate, so it lands in `duplicate_deliveries` — not
-    // in `rejected_submissions`, which is reserved for sender misbehavior.
-    assert_eq!(round.duplicate_deliveries, 1, "the duplicate must be counted as a duplicate");
-    assert_eq!(round.rejected_submissions, 0, "a repeat is not an intake violation");
-    assert_eq!(round.updates_received, 2, "clients 0 and 1 each contribute exactly once");
-    assert!(round.accepted);
-    // Both counted updates were zero: if the boosted duplicate had
-    // overwritten the first submission, the global model would move.
-    assert_eq!(server.global_model().params(), before);
-}
-
-#[test]
-fn quorum_clamping_is_surfaced_on_the_round() {
-    for (configured_quorum, expect_clamped) in [(9, true), (2, false)] {
-        let network = Network::new();
-        let initial = tiny_model(5);
-        // 3 voters total (server does not vote): q = 9 cannot be met and
-        // is silently lowered — the round must report the clamp.
-        let mut server = make_server(&network, configured_quorum, 2_000, &initial);
+        // A node that was never sampled injects a boosted "update" before the
+        // round even starts — it is the first thing the server dequeues.
+        let rogue = network.register(NodeId(9));
+        rogue.send(
+            NodeId::SERVER,
+            Message::UpdateSubmission {
+                round: 1,
+                from: NodeId(9),
+                update: wire::encode_f32(&vec![1e6; initial.num_params()]),
+            },
+        );
 
         let round = crossbeam::thread::scope(|scope| {
             for c in 0..NUM_CLIENTS {
@@ -246,76 +124,211 @@ fn quorum_clamping_is_surfaced_on_the_round() {
         })
         .expect("client thread panicked");
 
-        assert_eq!(
-            round.quorum_clamped, expect_clamped,
-            "q={configured_quorum} over {NUM_CLIENTS} voters"
-        );
+        assert_eq!(round.rejected_submissions, 1, "the rogue update must be counted as rejected");
+        assert_eq!(round.updates_received, NUM_CLIENTS, "all honest updates still aggregate");
         assert!(round.accepted);
-    }
+        // All honest updates were zero, so the global model must be exactly
+        // unchanged: the 1e6-boosted injection never touched FedAvg.
+        assert_eq!(server.global_model().params(), before);
+    });
+}
+
+#[test]
+fn wrong_length_update_is_discarded_not_fatal() {
+    on_each_transport(|transport| {
+        let network = Network::with_transport(FaultPlan::lossless(0), transport);
+        let initial = tiny_model(2);
+        let before = initial.params();
+        let mut server = make_server(&network, 2, 600, &initial);
+
+        let round = crossbeam::thread::scope(|scope| {
+            for c in 0..NUM_CLIENTS {
+                let endpoint = network.register(NodeId(c as u32));
+                // Client 2 is sampled but buggy/malicious: its update has half
+                // the parameters. Pre-fix this panicked the server inside the
+                // aggregation kernel.
+                let update = if c == 2 {
+                    vec![0.0f32; initial.num_params() / 2]
+                } else {
+                    vec![0.0f32; initial.num_params()]
+                };
+                scope.spawn(move |_| run_scripted_client(endpoint, update, accept_vote));
+            }
+            let round = server.run_round();
+            server.shutdown();
+            round
+        })
+        .expect("client thread panicked");
+
+        assert_eq!(round.rejected_submissions, 1);
+        assert_eq!(round.updates_received, NUM_CLIENTS - 1);
+        assert!(round.accepted);
+        assert_eq!(server.global_model().params(), before);
+    });
+}
+
+#[test]
+fn duplicate_update_submissions_keep_the_first() {
+    on_each_transport(|transport| {
+        let network = Network::with_transport(FaultPlan::lossless(0), transport);
+        let initial = tiny_model(4);
+        let before = initial.params();
+        let mut server = make_server(&network, 2, 600, &initial);
+
+        let round = crossbeam::thread::scope(|scope| {
+            // Client 0 double-submits: first a zero update, then a boosted
+            // one. First wins; the duplicate must be rejected at intake.
+            let dup = network.register(NodeId(0));
+            let n_params = initial.num_params();
+            scope.spawn(move |_| {
+                while let Ok(env) = dup.recv() {
+                    match env.message {
+                        Message::TrainRequest { round, .. } => {
+                            for update in [vec![0.0f32; n_params], vec![1e6; n_params]] {
+                                dup.send(
+                                    NodeId::SERVER,
+                                    Message::UpdateSubmission {
+                                        round,
+                                        from: dup.id(),
+                                        update: wire::encode_f32(&update),
+                                    },
+                                );
+                            }
+                        }
+                        Message::ValidateRequest { round, .. } => accept_vote(&dup, round),
+                        Message::Shutdown => break,
+                        _ => {}
+                    }
+                }
+            });
+            let honest = network.register(NodeId(1));
+            let zeros = vec![0.0f32; initial.num_params()];
+            scope.spawn(move |_| run_scripted_client(honest, zeros, accept_vote));
+            // Client 2 is mute: the phases run to their (short) timeout, so
+            // the server is guaranteed to drain the duplicate submission.
+            let mute = network.register(NodeId(2));
+            scope.spawn(move |_| {
+                while let Ok(env) = mute.recv() {
+                    if env.message == Message::Shutdown {
+                        break;
+                    }
+                }
+            });
+
+            let round = server.run_round();
+            server.shutdown();
+            round
+        })
+        .expect("client thread panicked");
+
+        // A repeat to an already-settled slot is indistinguishable from a
+        // link-level duplicate, so it lands in `duplicate_deliveries` — not
+        // in `rejected_submissions`, which is reserved for sender misbehavior.
+        assert_eq!(round.duplicate_deliveries, 1, "the duplicate must be counted as a duplicate");
+        assert_eq!(round.rejected_submissions, 0, "a repeat is not an intake violation");
+        assert_eq!(round.updates_received, 2, "clients 0 and 1 each contribute exactly once");
+        assert!(round.accepted);
+        // Both counted updates were zero: if the boosted duplicate had
+        // overwritten the first submission, the global model would move.
+        assert_eq!(server.global_model().params(), before);
+    });
+}
+
+#[test]
+fn quorum_clamping_is_surfaced_on_the_round() {
+    on_each_transport(|transport| {
+        for (configured_quorum, expect_clamped) in [(9, true), (2, false)] {
+            let network = Network::with_transport(FaultPlan::lossless(0), transport);
+            let initial = tiny_model(5);
+            // 3 voters total (server does not vote): q = 9 cannot be met and
+            // is silently lowered — the round must report the clamp.
+            let mut server = make_server(&network, configured_quorum, 2_000, &initial);
+
+            let round = crossbeam::thread::scope(|scope| {
+                for c in 0..NUM_CLIENTS {
+                    let endpoint = network.register(NodeId(c as u32));
+                    let zeros = vec![0.0f32; initial.num_params()];
+                    scope.spawn(move |_| run_scripted_client(endpoint, zeros, accept_vote));
+                }
+                let round = server.run_round();
+                server.shutdown();
+                round
+            })
+            .expect("client thread panicked");
+
+            assert_eq!(
+                round.quorum_clamped, expect_clamped,
+                "q={configured_quorum} over {NUM_CLIENTS} voters"
+            );
+            assert!(round.accepted);
+        }
+    });
 }
 
 #[test]
 fn votes_from_outside_the_validator_set_cannot_stuff_the_quorum() {
-    let network = Network::new();
-    let initial = tiny_model(3);
-    // Quorum 1: a single counted Reject kills the round — the easiest
-    // possible target for a stuffing attack.
-    let mut server = make_server(&network, 1, 2_000, &initial);
+    on_each_transport(|transport| {
+        let network = Network::with_transport(FaultPlan::lossless(0), transport);
+        let initial = tiny_model(3);
+        // Quorum 1: a single counted Reject kills the round — the easiest
+        // possible target for a stuffing attack.
+        let mut server = make_server(&network, 1, 2_000, &initial);
 
-    let rogue_a = network.register(NodeId(50));
-    let rogue_b = network.register(NodeId(51));
-    let spoofer = network.register(NodeId(9));
+        let rogue_a = network.register(NodeId(50));
+        let rogue_b = network.register(NodeId(51));
+        let spoofer = network.register(NodeId(9));
 
-    // Honest validators hold their votes until the coordinator saw the
-    // rogue votes enter the server's queue first.
-    let (signal_tx, signal_rx) = crossbeam::channel::unbounded::<u64>();
-    let (gate_tx, gate_rx) = crossbeam::channel::unbounded::<()>();
+        // Honest validators hold their votes until the coordinator saw the
+        // rogue votes enter the server's queue first.
+        let (signal_tx, signal_rx) = crossbeam::channel::unbounded::<u64>();
+        let (gate_tx, gate_rx) = crossbeam::channel::unbounded::<()>();
 
-    let round = crossbeam::thread::scope(|scope| {
-        for c in 0..NUM_CLIENTS {
-            let endpoint = network.register(NodeId(c as u32));
-            let zeros = vec![0.0f32; initial.num_params()];
-            let signal_tx = signal_tx.clone();
-            let gate_rx = gate_rx.clone();
-            scope.spawn(move |_| {
-                run_scripted_client(endpoint, zeros, |endpoint, round| {
-                    // The coordinator only waits for the first signal; it
-                    // may be gone by the time the others fire.
-                    let _ = signal_tx.send(round);
-                    gate_rx.recv().expect("gate open");
-                    accept_vote(endpoint, round);
+        let round = crossbeam::thread::scope(|scope| {
+            for c in 0..NUM_CLIENTS {
+                let endpoint = network.register(NodeId(c as u32));
+                let zeros = vec![0.0f32; initial.num_params()];
+                let signal_tx = signal_tx.clone();
+                let gate_rx = gate_rx.clone();
+                scope.spawn(move |_| {
+                    run_scripted_client(endpoint, zeros, |endpoint, round| {
+                        // The coordinator only waits for the first signal; it
+                        // may be gone by the time the others fire.
+                        let _ = signal_tx.send(round);
+                        gate_rx.recv().expect("gate open");
+                        accept_vote(endpoint, round);
+                    });
                 });
-            });
-        }
-        scope.spawn(move |_| {
-            // A validate request went out, so the update phase is over:
-            // stuff three Reject votes, then release the honest voters.
-            let round = signal_rx.recv().expect("a validator was asked");
-            for rogue in [&rogue_a, &rogue_b] {
-                rogue.send(
+            }
+            scope.spawn(move |_| {
+                // A validate request went out, so the update phase is over:
+                // stuff three Reject votes, then release the honest voters.
+                let round = signal_rx.recv().expect("a validator was asked");
+                for rogue in [&rogue_a, &rogue_b] {
+                    rogue.send(
+                        NodeId::SERVER,
+                        Message::VoteSubmission { round, from: rogue.id(), vote: Vote::Reject },
+                    );
+                }
+                // Impersonation attempt: claims to be sampled validator 0.
+                spoofer.send(
                     NodeId::SERVER,
-                    Message::VoteSubmission { round, from: rogue.id(), vote: Vote::Reject },
+                    Message::VoteSubmission { round, from: NodeId(0), vote: Vote::Reject },
                 );
-            }
-            // Impersonation attempt: claims to be sampled validator 0.
-            spoofer.send(
-                NodeId::SERVER,
-                Message::VoteSubmission { round, from: NodeId(0), vote: Vote::Reject },
-            );
-            for _ in 0..NUM_CLIENTS {
-                gate_tx.send(()).expect("clients alive");
-            }
-        });
-        let round = server.run_round();
-        server.shutdown();
-        round
-    })
-    .expect("thread panicked");
+                for _ in 0..NUM_CLIENTS {
+                    gate_tx.send(()).expect("clients alive");
+                }
+            });
+            let round = server.run_round();
+            server.shutdown();
+            round
+        })
+        .expect("thread panicked");
 
-    assert_eq!(round.rejected_votes, 3, "both outsiders and the spoofer must be rejected");
-    assert_eq!(round.reject_votes, 0, "no rogue Reject may be counted");
-    assert_eq!(round.votes_received, NUM_CLIENTS);
-    assert!(round.accepted, "quorum stuffing must not veto the round");
+        assert_eq!(round.rejected_votes, 3, "both outsiders and the spoofer must be rejected");
+        assert_eq!(round.reject_votes, 0, "no rogue Reject may be counted");
+        assert_eq!(round.votes_received, NUM_CLIENTS);
+        assert!(round.accepted, "quorum stuffing must not veto the round");
+    });
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -402,8 +415,9 @@ fn traffic(phase: Phase, kind: Kind, fault: Option<Fault>, n: usize) -> Vec<(u32
 
 /// Runs round 1 with `fault` injected into `phase` and the other phase
 /// clean. One thread plays every client over the in-process transport,
-/// whatever `BAFFLE_TRANSPORT` says: a single sender over channels is
-/// what makes the server's receive order the scripted order.
+/// pinned here where the other tests loop over transports: a single
+/// sender over channels is what makes the server's receive order the
+/// scripted order.
 fn run_faulty_round(phase: Phase, kind: Kind, fault: Fault) -> ServerRound {
     let network = Network::with_transport(FaultPlan::lossless(0), TransportMode::InProcess);
     let initial = tiny_model(6);

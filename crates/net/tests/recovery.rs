@@ -18,6 +18,8 @@
 //! - **The server's own vote**: cast before the wait for the validators,
 //!   it alone decides a round in which no validator is reachable.
 
+mod common;
+
 use baffle_core::{ModelHistory, ValidationConfig, ValidationEngine, Validator, Vote};
 use baffle_data::Dataset;
 use baffle_fl::{fedavg, sampling, FlConfig, WireProfile};
@@ -29,6 +31,7 @@ use baffle_net::transport::{Endpoint, Network};
 use baffle_nn::{wire, Mlp, MlpSpec, Model};
 use baffle_tensor::rng::derive_stream;
 use baffle_tensor::Matrix;
+use common::on_each_transport;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Mutex;
@@ -118,51 +121,53 @@ fn delta_of(log: &[(NodeId, u64, Vec<u64>)], who: u32, round: u64) -> Option<Vec
 /// selection re-ships the lost delta.
 #[test]
 fn unacked_validate_request_is_reshipped_at_the_next_selection() {
-    // Surgical fault: lose exactly round 2's ValidateRequest to client 2.
-    let plan = FaultPlan::lossless(0).event(FaultEvent::DropKind {
-        to: Some(NodeId(2)),
-        rounds: 2..=2,
-        kind: "validate-request",
+    on_each_transport(|transport| {
+        // Surgical fault: lose exactly round 2's ValidateRequest to client 2.
+        let plan = FaultPlan::lossless(0).event(FaultEvent::DropKind {
+            to: Some(NodeId(2)),
+            rounds: 2..=2,
+            kind: "validate-request",
+        });
+        let network = Network::with_transport(plan, transport);
+        let initial = tiny_model(1);
+        let mut server = make_server(&network, 400, &initial);
+        let deltas = Mutex::new(Vec::new());
+
+        let rounds = crossbeam::thread::scope(|scope| {
+            for c in 0..NUM_CLIENTS {
+                let endpoint = network.register(NodeId(c as u32));
+                let n_params = initial.num_params();
+                let deltas = &deltas;
+                scope.spawn(move |_| run_recording_client(endpoint, n_params, deltas, accept_vote));
+            }
+            let mut rounds = Vec::new();
+            for r in 1..=3 {
+                network.begin_round(r);
+                rounds.push(server.run_round());
+            }
+            server.shutdown();
+            rounds
+        })
+        .expect("client thread panicked");
+
+        let log = deltas.into_inner().unwrap();
+        // Round 1: first contact, everyone gets the full (one-entry) window.
+        for c in 0..NUM_CLIENTS as u32 {
+            assert_eq!(delta_of(&log, c, 1), Some(vec![0]), "client {c} round 1");
+        }
+        // Round 2: the shipment to client 2 is lost on the wire.
+        assert_eq!(delta_of(&log, 0, 2), Some(vec![1]));
+        assert_eq!(delta_of(&log, 1, 2), Some(vec![1]));
+        assert_eq!(delta_of(&log, 2, 2), None, "the drop filter must eat the request");
+        assert_eq!(rounds[1].votes_received, NUM_CLIENTS - 1, "client 2 cannot vote in round 2");
+        // Round 3: the unacknowledged entry 1 rides along with entry 2 —
+        // client 2's window is whole again and it casts a real vote.
+        assert_eq!(delta_of(&log, 0, 3), Some(vec![2]));
+        assert_eq!(delta_of(&log, 1, 3), Some(vec![2]));
+        assert_eq!(delta_of(&log, 2, 3), Some(vec![1, 2]), "lost delta must be re-shipped");
+        assert_eq!(rounds[2].votes_received, NUM_CLIENTS, "client 2 votes again in round 3");
+        assert!(rounds.iter().all(|r| r.accepted));
     });
-    let network = Network::with_faults(plan);
-    let initial = tiny_model(1);
-    let mut server = make_server(&network, 400, &initial);
-    let deltas = Mutex::new(Vec::new());
-
-    let rounds = crossbeam::thread::scope(|scope| {
-        for c in 0..NUM_CLIENTS {
-            let endpoint = network.register(NodeId(c as u32));
-            let n_params = initial.num_params();
-            let deltas = &deltas;
-            scope.spawn(move |_| run_recording_client(endpoint, n_params, deltas, accept_vote));
-        }
-        let mut rounds = Vec::new();
-        for r in 1..=3 {
-            network.begin_round(r);
-            rounds.push(server.run_round());
-        }
-        server.shutdown();
-        rounds
-    })
-    .expect("client thread panicked");
-
-    let log = deltas.into_inner().unwrap();
-    // Round 1: first contact, everyone gets the full (one-entry) window.
-    for c in 0..NUM_CLIENTS as u32 {
-        assert_eq!(delta_of(&log, c, 1), Some(vec![0]), "client {c} round 1");
-    }
-    // Round 2: the shipment to client 2 is lost on the wire.
-    assert_eq!(delta_of(&log, 0, 2), Some(vec![1]));
-    assert_eq!(delta_of(&log, 1, 2), Some(vec![1]));
-    assert_eq!(delta_of(&log, 2, 2), None, "the drop filter must eat the request");
-    assert_eq!(rounds[1].votes_received, NUM_CLIENTS - 1, "client 2 cannot vote in round 2");
-    // Round 3: the unacknowledged entry 1 rides along with entry 2 —
-    // client 2's window is whole again and it casts a real vote.
-    assert_eq!(delta_of(&log, 0, 3), Some(vec![2]));
-    assert_eq!(delta_of(&log, 1, 3), Some(vec![2]));
-    assert_eq!(delta_of(&log, 2, 3), Some(vec![1, 2]), "lost delta must be re-shipped");
-    assert_eq!(rounds[2].votes_received, NUM_CLIENTS, "client 2 votes again in round 3");
-    assert!(rounds.iter().all(|r| r.accepted));
 }
 
 /// A validator that declares `HistoryTooShort` (a restarted process, or
@@ -170,57 +175,59 @@ fn unacked_validate_request_is_reshipped_at_the_next_selection() {
 /// reset: the next selection ships the **full** window, not a delta.
 #[test]
 fn history_too_short_abstention_forces_a_full_window_reship() {
-    let network = Network::new();
-    let initial = tiny_model(2);
-    let mut server = make_server(&network, 2_000, &initial);
-    let deltas = Mutex::new(Vec::new());
+    on_each_transport(|transport| {
+        let network = Network::with_transport(FaultPlan::lossless(0), transport);
+        let initial = tiny_model(2);
+        let mut server = make_server(&network, 2_000, &initial);
+        let deltas = Mutex::new(Vec::new());
 
-    let rounds = crossbeam::thread::scope(|scope| {
-        for c in 0..NUM_CLIENTS {
-            let endpoint = network.register(NodeId(c as u32));
-            let n_params = initial.num_params();
-            let deltas = &deltas;
-            scope.spawn(move |_| {
-                run_recording_client(endpoint, n_params, deltas, |endpoint, round| {
-                    if endpoint.id() == NodeId(2) && round == 2 {
-                        // "I lost my cache": the fresh-restart signal.
-                        endpoint.send(
-                            NodeId::SERVER,
-                            Message::Abstain {
-                                round,
-                                from: endpoint.id(),
-                                reason: AbstainReason::HistoryTooShort,
-                            },
-                        );
-                    } else {
-                        accept_vote(endpoint, round);
-                    }
+        let rounds = crossbeam::thread::scope(|scope| {
+            for c in 0..NUM_CLIENTS {
+                let endpoint = network.register(NodeId(c as u32));
+                let n_params = initial.num_params();
+                let deltas = &deltas;
+                scope.spawn(move |_| {
+                    run_recording_client(endpoint, n_params, deltas, |endpoint, round| {
+                        if endpoint.id() == NodeId(2) && round == 2 {
+                            // "I lost my cache": the fresh-restart signal.
+                            endpoint.send(
+                                NodeId::SERVER,
+                                Message::Abstain {
+                                    round,
+                                    from: endpoint.id(),
+                                    reason: AbstainReason::HistoryTooShort,
+                                },
+                            );
+                        } else {
+                            accept_vote(endpoint, round);
+                        }
+                    });
                 });
-            });
-        }
-        let mut rounds = Vec::new();
-        for r in 1..=3 {
-            network.begin_round(r);
-            rounds.push(server.run_round());
-        }
-        server.shutdown();
-        rounds
-    })
-    .expect("client thread panicked");
+            }
+            let mut rounds = Vec::new();
+            for r in 1..=3 {
+                network.begin_round(r);
+                rounds.push(server.run_round());
+            }
+            server.shutdown();
+            rounds
+        })
+        .expect("client thread panicked");
 
-    let log = deltas.into_inner().unwrap();
-    assert_eq!(rounds[1].abstentions, 1);
-    assert!(rounds[1].accepted, "an abstention is an implicit accept");
-    // Round 3: the abstainer gets everything again; the others only the
-    // newest entry.
-    assert_eq!(delta_of(&log, 0, 3), Some(vec![2]));
-    assert_eq!(delta_of(&log, 1, 3), Some(vec![2]));
-    assert_eq!(
-        delta_of(&log, 2, 3),
-        Some(vec![0, 1, 2]),
-        "a reset validator must receive the full window"
-    );
-    assert_eq!(rounds[2].votes_received, NUM_CLIENTS);
+        let log = deltas.into_inner().unwrap();
+        assert_eq!(rounds[1].abstentions, 1);
+        assert!(rounds[1].accepted, "an abstention is an implicit accept");
+        // Round 3: the abstainer gets everything again; the others only the
+        // newest entry.
+        assert_eq!(delta_of(&log, 0, 3), Some(vec![2]));
+        assert_eq!(delta_of(&log, 1, 3), Some(vec![2]));
+        assert_eq!(
+            delta_of(&log, 2, 3),
+            Some(vec![0, 1, 2]),
+            "a reset validator must receive the full window"
+        );
+        assert_eq!(rounds[2].votes_received, NUM_CLIENTS);
+    });
 }
 
 /// Replicates the server's per-round sampling so a test can search for
@@ -241,88 +248,90 @@ fn validators_for(seed: u64, round: u64, n_val: usize) -> Vec<usize> {
 /// full-window re-ship, zero wasted `HistoryTooShort` round-trips.
 #[test]
 fn evicted_sync_point_gets_one_full_window_reship() {
-    const WINDOW: usize = 2;
-    const ROUNDS: u64 = 4;
-    // Find a seed whose schedule makes some client a validator in
-    // round 1, unsampled in every round in between, and re-selected in
-    // round ROUNDS — by then the retained window has slid past its
-    // committed sync point.
-    let (seed, lagger) = (0u64..10_000)
-        .find_map(|seed| {
-            (0..NUM_CLIENTS).find_map(|c| {
-                let sampled = |r| validators_for(seed, r, 2).contains(&c);
-                (sampled(1) && (2..ROUNDS).all(|r| !sampled(r)) && sampled(ROUNDS))
-                    .then_some((seed, c as u32))
+    on_each_transport(|transport| {
+        const WINDOW: usize = 2;
+        const ROUNDS: u64 = 4;
+        // Find a seed whose schedule makes some client a validator in
+        // round 1, unsampled in every round in between, and re-selected in
+        // round ROUNDS — by then the retained window has slid past its
+        // committed sync point.
+        let (seed, lagger) = (0u64..10_000)
+            .find_map(|seed| {
+                (0..NUM_CLIENTS).find_map(|c| {
+                    let sampled = |r| validators_for(seed, r, 2).contains(&c);
+                    (sampled(1) && (2..ROUNDS).all(|r| !sampled(r)) && sampled(ROUNDS))
+                        .then_some((seed, c as u32))
+                })
             })
+            .expect("some seed under 10k must produce the lagging schedule");
+
+        let network = Network::with_transport(FaultPlan::lossless(0), transport);
+        let initial = tiny_model(5);
+        let config = ServerConfig {
+            fl: FlConfig::new(NUM_CLIENTS, NUM_CLIENTS),
+            validators_per_round: 2,
+            quorum: 1,
+            phase_timeout: Duration::from_millis(2_000),
+            server_votes: false,
+            seed,
+            bootstrap_rounds: 0,
+            bootstrap_trusted: Vec::new(),
+            wire: WireProfile::lossless(),
+        };
+        let mut server = Server::new(
+            network.register(NodeId::SERVER),
+            config,
+            initial.clone(),
+            WINDOW,
+            Validator::new(ValidationConfig::new(3)),
+            Dataset::empty(2, 2),
+        );
+        let deltas = Mutex::new(Vec::new());
+
+        let rounds = crossbeam::thread::scope(|scope| {
+            for c in 0..NUM_CLIENTS {
+                let endpoint = network.register(NodeId(c as u32));
+                let n_params = initial.num_params();
+                let deltas = &deltas;
+                scope.spawn(move |_| run_recording_client(endpoint, n_params, deltas, accept_vote));
+            }
+            let mut rounds = Vec::new();
+            for r in 1..=ROUNDS {
+                network.begin_round(r);
+                rounds.push(server.run_round());
+            }
+            server.shutdown();
+            rounds
         })
-        .expect("some seed under 10k must produce the lagging schedule");
+        .expect("client thread panicked");
 
-    let network = Network::new();
-    let initial = tiny_model(5);
-    let config = ServerConfig {
-        fl: FlConfig::new(NUM_CLIENTS, NUM_CLIENTS),
-        validators_per_round: 2,
-        quorum: 1,
-        phase_timeout: Duration::from_millis(2_000),
-        server_votes: false,
-        seed,
-        bootstrap_rounds: 0,
-        bootstrap_trusted: Vec::new(),
-        wire: WireProfile::lossless(),
-    };
-    let mut server = Server::new(
-        network.register(NodeId::SERVER),
-        config,
-        initial.clone(),
-        WINDOW,
-        Validator::new(ValidationConfig::new(3)),
-        Dataset::empty(2, 2),
-    );
-    let deltas = Mutex::new(Vec::new());
-
-    let rounds = crossbeam::thread::scope(|scope| {
-        for c in 0..NUM_CLIENTS {
-            let endpoint = network.register(NodeId(c as u32));
-            let n_params = initial.num_params();
-            let deltas = &deltas;
-            scope.spawn(move |_| run_recording_client(endpoint, n_params, deltas, accept_vote));
+        let log = deltas.into_inner().unwrap();
+        // Round 1: first contact ships the (one-entry) window; the ack
+        // commits the lagger's sync point at id 1.
+        assert_eq!(delta_of(&log, lagger, 1), Some(vec![0]));
+        // Unsampled in between: no validate requests reach it at all.
+        for r in 2..ROUNDS {
+            assert_eq!(delta_of(&log, lagger, r), None, "round {r} must not sample the lagger");
         }
-        let mut rounds = Vec::new();
-        for r in 1..=ROUNDS {
-            network.begin_round(r);
-            rounds.push(server.run_round());
-        }
-        server.shutdown();
-        rounds
-    })
-    .expect("client thread panicked");
-
-    let log = deltas.into_inner().unwrap();
-    // Round 1: first contact ships the (one-entry) window; the ack
-    // commits the lagger's sync point at id 1.
-    assert_eq!(delta_of(&log, lagger, 1), Some(vec![0]));
-    // Unsampled in between: no validate requests reach it at all.
-    for r in 2..ROUNDS {
-        assert_eq!(delta_of(&log, lagger, r), None, "round {r} must not sample the lagger");
-    }
-    // Re-selection: the retained window is now (ROUNDS-2)..ROUNDS, past
-    // the committed point — the full window arrives contiguous, in one
-    // shipment.
-    assert_eq!(
-        delta_of(&log, lagger, ROUNDS),
-        Some(vec![ROUNDS - 2, ROUNDS - 1]),
-        "an evicted validator must receive the full retained window in one go"
-    );
-    // The eviction is detected exactly once, at re-selection time.
-    let resyncs: Vec<usize> = rounds.iter().map(|r| r.evicted_resyncs).collect();
-    let mut expected = vec![0; ROUNDS as usize];
-    expected[ROUNDS as usize - 1] = 1;
-    assert_eq!(resyncs, expected, "exactly one eviction repair, in the re-selection round");
-    // Zero wasted round-trips: no HistoryTooShort abstentions anywhere,
-    // and the repaired validator votes in the round it is re-selected.
-    assert!(rounds.iter().all(|r| r.abstentions == 0), "no HistoryTooShort round-trips");
-    assert!(rounds.iter().all(|r| r.votes_received == 2));
-    assert!(rounds.iter().all(|r| r.accepted));
+        // Re-selection: the retained window is now (ROUNDS-2)..ROUNDS, past
+        // the committed point — the full window arrives contiguous, in one
+        // shipment.
+        assert_eq!(
+            delta_of(&log, lagger, ROUNDS),
+            Some(vec![ROUNDS - 2, ROUNDS - 1]),
+            "an evicted validator must receive the full retained window in one go"
+        );
+        // The eviction is detected exactly once, at re-selection time.
+        let resyncs: Vec<usize> = rounds.iter().map(|r| r.evicted_resyncs).collect();
+        let mut expected = vec![0; ROUNDS as usize];
+        expected[ROUNDS as usize - 1] = 1;
+        assert_eq!(resyncs, expected, "exactly one eviction repair, in the re-selection round");
+        // Zero wasted round-trips: no HistoryTooShort abstentions anywhere,
+        // and the repaired validator votes in the round it is re-selected.
+        assert!(rounds.iter().all(|r| r.abstentions == 0), "no HistoryTooShort round-trips");
+        assert!(rounds.iter().all(|r| r.votes_received == 2));
+        assert!(rounds.iter().all(|r| r.accepted));
+    });
 }
 
 /// What scripted client `client` submits in `round` of the server-vote
@@ -344,120 +353,122 @@ fn scripted_update(round: u64, client: usize, flip_round: u64) -> Vec<f32> {
 /// [`ValidationEngine`] fed the same candidate and window.
 #[test]
 fn server_vote_alone_decides_a_round_no_validator_hears_about() {
-    const ROUNDS: u64 = 9;
-    const WINDOW: usize = 5;
-    let timeout = Duration::from_millis(150);
-    let plan = FaultPlan::lossless(0).event(FaultEvent::DropKind {
-        to: None,
-        rounds: 1..=ROUNDS,
-        kind: "validate-request",
-    });
-    let network = Network::with_faults(plan);
+    on_each_transport(|transport| {
+        const ROUNDS: u64 = 9;
+        const WINDOW: usize = 5;
+        let timeout = Duration::from_millis(150);
+        let plan = FaultPlan::lossless(0).event(FaultEvent::DropKind {
+            to: None,
+            rounds: 1..=ROUNDS,
+            kind: "validate-request",
+        });
+        let network = Network::with_transport(plan, transport);
 
-    // Two classes split at x₀ = 0 with a thin band of near-boundary
-    // points, so the honest drift flips a few predictions per round.
-    let n = 200;
-    let x = Matrix::from_fn(n, 2, |i, j| {
-        let side = if i % 2 == 0 { 1.0 } else { -1.0 };
-        if j == 0 {
-            side * (0.01 + (i / 2) as f32 * 0.02)
-        } else {
-            (i as f32 * 0.37).sin()
-        }
-    });
-    let holdout = Dataset::new(x, (0..n).map(|i| i % 2).collect(), 2);
-    let mut initial = tiny_model(3);
-    initial.set_params(&[1.0, -1.0, 0.0, 0.0, 0.0, 0.0]);
+        // Two classes split at x₀ = 0 with a thin band of near-boundary
+        // points, so the honest drift flips a few predictions per round.
+        let n = 200;
+        let x = Matrix::from_fn(n, 2, |i, j| {
+            let side = if i % 2 == 0 { 1.0 } else { -1.0 };
+            if j == 0 {
+                side * (0.01 + (i / 2) as f32 * 0.02)
+            } else {
+                (i as f32 * 0.37).sin()
+            }
+        });
+        let holdout = Dataset::new(x, (0..n).map(|i| i % 2).collect(), 2);
+        let mut initial = tiny_model(3);
+        initial.set_params(&[1.0, -1.0, 0.0, 0.0, 0.0, 0.0]);
 
-    let fl = FlConfig::new(NUM_CLIENTS, NUM_CLIENTS);
-    let validator = Validator::new(ValidationConfig::new(3));
-    let config = ServerConfig {
-        fl: fl.clone(),
-        validators_per_round: NUM_CLIENTS,
-        quorum: 1,
-        phase_timeout: timeout,
-        server_votes: true,
-        seed: 7,
-        bootstrap_rounds: 0,
-        bootstrap_trusted: Vec::new(),
-        wire: WireProfile::lossless(),
-    };
-    let mut server = Server::new(
-        network.register(NodeId::SERVER),
-        config,
-        initial.clone(),
-        WINDOW,
-        validator,
-        holdout.clone(),
-    );
-
-    let rounds = crossbeam::thread::scope(|scope| {
-        for c in 0..NUM_CLIENTS {
-            let endpoint = network.register(NodeId(c as u32));
-            scope.spawn(move |_| {
-                while let Ok(env) = endpoint.recv() {
-                    match env.message {
-                        Message::TrainRequest { round, .. } => endpoint.send(
-                            NodeId::SERVER,
-                            Message::UpdateSubmission {
-                                round,
-                                from: endpoint.id(),
-                                update: wire::encode_f32(&scripted_update(round, c, ROUNDS)),
-                            },
-                        ),
-                        Message::ValidateRequest { .. } => {
-                            panic!("the drop filter must eat every ValidateRequest")
-                        }
-                        Message::Shutdown => break,
-                        _ => {}
-                    }
-                }
-            });
-        }
-        let mut rounds = Vec::new();
-        for r in 1..=ROUNDS {
-            network.begin_round(r);
-            rounds.push(server.run_round());
-        }
-        server.shutdown();
-        rounds
-    })
-    .expect("client thread panicked");
-
-    // Mirror the server's trusted state and ask a fresh engine each round.
-    let mut engine = ValidationEngine::new(validator);
-    let mut history = ModelHistory::new(WINDOW);
-    history.push(initial.clone());
-    let mut global = initial;
-    let mut real_verdicts = 0;
-    for (r, round) in (1..=ROUNDS).zip(&rounds) {
-        let updates: Vec<Vec<f32>> =
-            (0..NUM_CLIENTS).map(|c| scripted_update(r, c, ROUNDS)).collect();
-        let mut candidate = global.clone();
-        candidate.set_params(&fedavg(&global.params(), &updates, fl.global_lr(), NUM_CLIENTS));
-        let verdict =
-            engine.validate_batched(&candidate, history.ids(), history.models(), &holdout);
-        real_verdicts += usize::from(verdict.is_ok());
-        let expected = verdict.map_or(Vote::Accept, |v| v.vote());
-
-        assert_eq!(round.updates_received, NUM_CLIENTS, "round {r}");
-        assert_eq!(round.votes_received, 0, "round {r}: no validator can have voted");
-        assert_eq!(round.reject_votes, usize::from(expected == Vote::Reject), "round {r}");
-        assert_eq!(round.accepted, expected == Vote::Accept, "round {r}");
-        assert!(!round.quorum_clamped && !round.transport_lost, "round {r}");
-        assert!(
-            round.vote_phase >= timeout && round.vote_phase < 2 * timeout,
-            "round {r}: silent validators cost the phase timeout and nothing more, got {:?}",
-            round.vote_phase
+        let fl = FlConfig::new(NUM_CLIENTS, NUM_CLIENTS);
+        let validator = Validator::new(ValidationConfig::new(3));
+        let config = ServerConfig {
+            fl: fl.clone(),
+            validators_per_round: NUM_CLIENTS,
+            quorum: 1,
+            phase_timeout: timeout,
+            server_votes: true,
+            seed: 7,
+            bootstrap_rounds: 0,
+            bootstrap_trusted: Vec::new(),
+            wire: WireProfile::lossless(),
+        };
+        let mut server = Server::new(
+            network.register(NodeId::SERVER),
+            config,
+            initial.clone(),
+            WINDOW,
+            validator,
+            holdout.clone(),
         );
-        if round.accepted {
-            history.push(candidate.clone());
-            global = candidate;
+
+        let rounds = crossbeam::thread::scope(|scope| {
+            for c in 0..NUM_CLIENTS {
+                let endpoint = network.register(NodeId(c as u32));
+                scope.spawn(move |_| {
+                    while let Ok(env) = endpoint.recv() {
+                        match env.message {
+                            Message::TrainRequest { round, .. } => endpoint.send(
+                                NodeId::SERVER,
+                                Message::UpdateSubmission {
+                                    round,
+                                    from: endpoint.id(),
+                                    update: wire::encode_f32(&scripted_update(round, c, ROUNDS)),
+                                },
+                            ),
+                            Message::ValidateRequest { .. } => {
+                                panic!("the drop filter must eat every ValidateRequest")
+                            }
+                            Message::Shutdown => break,
+                            _ => {}
+                        }
+                    }
+                });
+            }
+            let mut rounds = Vec::new();
+            for r in 1..=ROUNDS {
+                network.begin_round(r);
+                rounds.push(server.run_round());
+            }
+            server.shutdown();
+            rounds
+        })
+        .expect("client thread panicked");
+
+        // Mirror the server's trusted state and ask a fresh engine each round.
+        let mut engine = ValidationEngine::new(validator);
+        let mut history = ModelHistory::new(WINDOW);
+        history.push(initial.clone());
+        let mut global = initial;
+        let mut real_verdicts = 0;
+        for (r, round) in (1..=ROUNDS).zip(&rounds) {
+            let updates: Vec<Vec<f32>> =
+                (0..NUM_CLIENTS).map(|c| scripted_update(r, c, ROUNDS)).collect();
+            let mut candidate = global.clone();
+            candidate.set_params(&fedavg(&global.params(), &updates, fl.global_lr(), NUM_CLIENTS));
+            let verdict =
+                engine.validate_batched(&candidate, history.ids(), history.models(), &holdout);
+            real_verdicts += usize::from(verdict.is_ok());
+            let expected = verdict.map_or(Vote::Accept, |v| v.vote());
+
+            assert_eq!(round.updates_received, NUM_CLIENTS, "round {r}");
+            assert_eq!(round.votes_received, 0, "round {r}: no validator can have voted");
+            assert_eq!(round.reject_votes, usize::from(expected == Vote::Reject), "round {r}");
+            assert_eq!(round.accepted, expected == Vote::Accept, "round {r}");
+            assert!(!round.quorum_clamped && !round.transport_lost, "round {r}");
+            assert!(
+                round.vote_phase >= timeout && round.vote_phase < 2 * timeout,
+                "round {r}: silent validators cost the phase timeout and nothing more, got {:?}",
+                round.vote_phase
+            );
+            if round.accepted {
+                history.push(candidate.clone());
+                global = candidate;
+            }
         }
-    }
-    assert!(real_verdicts >= 3, "the window must fill early enough for real verdicts");
-    assert!(!rounds[ROUNDS as usize - 1].accepted, "the upside-down model must be voted out");
-    assert_eq!(server.global_model().params(), global.params());
+        assert!(real_verdicts >= 3, "the window must fill early enough for real verdicts");
+        assert!(!rounds[ROUNDS as usize - 1].accepted, "the upside-down model must be voted out");
+        assert_eq!(server.global_model().params(), global.params());
+    });
 }
 
 /// Zeroes the wall-clock fields so two runs can be compared bit-for-bit
@@ -509,82 +520,88 @@ fn drive(parts: DeploymentParts, interrupt_before: Option<u64>) -> Vec<ServerRou
 /// to the uninterrupted run on the same seed (wall-clock aside).
 #[test]
 fn checkpoint_restore_replays_identical_rounds() {
-    let config = DeploymentConfig::small(11);
-    let uninterrupted = drive(Deployment::build(config.clone()), None);
-    let interrupted = drive(Deployment::build(config), Some(4));
+    on_each_transport(|transport| {
+        let config = DeploymentConfig { transport, ..DeploymentConfig::small(11) };
+        let uninterrupted = drive(Deployment::build(config.clone()), None);
+        let interrupted = drive(Deployment::build(config), Some(4));
 
-    assert_eq!(uninterrupted.len(), interrupted.len());
-    let a: Vec<ServerRound> = uninterrupted.iter().map(normalized).collect();
-    let b: Vec<ServerRound> = interrupted.iter().map(normalized).collect();
-    assert_eq!(a, b, "a restored server must replay the uninterrupted run exactly");
-    assert!(!interrupted.iter().any(|r| r.transport_lost));
+        assert_eq!(uninterrupted.len(), interrupted.len());
+        let a: Vec<ServerRound> = uninterrupted.iter().map(normalized).collect();
+        let b: Vec<ServerRound> = interrupted.iter().map(normalized).collect();
+        assert_eq!(a, b, "a restored server must replay the uninterrupted run exactly");
+        assert!(!interrupted.iter().any(|r| r.transport_lost));
+    });
 }
 
 #[test]
 fn restore_rejects_damaged_checkpoints() {
-    let network = Network::new();
-    let initial = tiny_model(3);
-    let server = make_server(&network, 500, &initial);
-    let blob = server.checkpoint();
-    let validator = Validator::new(ValidationConfig::new(3));
-    let config = ServerConfig {
-        fl: FlConfig::new(NUM_CLIENTS, NUM_CLIENTS),
-        validators_per_round: NUM_CLIENTS,
-        quorum: 2,
-        phase_timeout: Duration::from_millis(500),
-        server_votes: false,
-        seed: 7,
-        bootstrap_rounds: 0,
-        bootstrap_trusted: Vec::new(),
-        wire: WireProfile::lossless(),
-    };
-    let attempt = |id: u32, blob: &[u8]| {
-        Server::restore(
-            network.register(NodeId(id)),
-            config.clone(),
-            initial.clone(),
-            5,
-            validator,
-            Dataset::empty(2, 2),
-            blob,
-        )
-    };
+    on_each_transport(|transport| {
+        let network = Network::with_transport(FaultPlan::lossless(0), transport);
+        let initial = tiny_model(3);
+        let server = make_server(&network, 500, &initial);
+        let blob = server.checkpoint();
+        let validator = Validator::new(ValidationConfig::new(3));
+        let config = ServerConfig {
+            fl: FlConfig::new(NUM_CLIENTS, NUM_CLIENTS),
+            validators_per_round: NUM_CLIENTS,
+            quorum: 2,
+            phase_timeout: Duration::from_millis(500),
+            server_votes: false,
+            seed: 7,
+            bootstrap_rounds: 0,
+            bootstrap_trusted: Vec::new(),
+            wire: WireProfile::lossless(),
+        };
+        let attempt = |id: u32, blob: &[u8]| {
+            Server::restore(
+                network.register(NodeId(id)),
+                config.clone(),
+                initial.clone(),
+                5,
+                validator,
+                Dataset::empty(2, 2),
+                blob,
+            )
+        };
 
-    // The pristine blob restores.
-    assert!(attempt(90, &blob).is_ok());
-    // Truncation, a damaged magic number and trailing garbage do not.
-    assert!(attempt(91, &blob[..blob.len() / 2]).is_err());
-    let mut bad_magic = blob.to_vec();
-    bad_magic[0] ^= 0xFF;
-    assert!(attempt(92, &bad_magic).is_err());
-    let mut trailing = blob.to_vec();
-    trailing.push(0);
-    assert!(attempt(93, &trailing).is_err());
+        // The pristine blob restores.
+        assert!(attempt(90, &blob).is_ok());
+        // Truncation, a damaged magic number and trailing garbage do not.
+        assert!(attempt(91, &blob[..blob.len() / 2]).is_err());
+        let mut bad_magic = blob.to_vec();
+        bad_magic[0] ^= 0xFF;
+        assert!(attempt(92, &bad_magic).is_err());
+        let mut trailing = blob.to_vec();
+        trailing.push(0);
+        assert!(attempt(93, &trailing).is_err());
+    });
 }
 
 /// A dead transport must be reported as such — not spend the phase
 /// timeout and then masquerade as a round full of silent stragglers.
 #[test]
 fn transport_loss_is_surfaced_not_misread_as_stragglers() {
-    let network = Network::new();
-    let initial = tiny_model(4);
-    // Deliberately huge timeout: only the Disconnected path can explain
-    // a fast exit.
-    let mut server = make_server(&network, 10_000, &initial);
+    on_each_transport(|transport| {
+        let network = Network::with_transport(FaultPlan::lossless(0), transport);
+        let initial = tiny_model(4);
+        // Deliberately huge timeout: only the Disconnected path can explain
+        // a fast exit.
+        let mut server = make_server(&network, 10_000, &initial);
 
-    let (round, elapsed) = crossbeam::thread::scope(|scope| {
-        scope.spawn(|_| {
-            std::thread::sleep(Duration::from_millis(150));
-            assert!(network.disconnect(NodeId::SERVER), "server must be registered");
-        });
-        let start = Instant::now();
-        let round = server.run_round();
-        (round, start.elapsed())
-    })
-    .expect("thread panicked");
+        let (round, elapsed) = crossbeam::thread::scope(|scope| {
+            scope.spawn(|_| {
+                std::thread::sleep(Duration::from_millis(150));
+                assert!(network.disconnect(NodeId::SERVER), "server must be registered");
+            });
+            let start = Instant::now();
+            let round = server.run_round();
+            (round, start.elapsed())
+        })
+        .expect("thread panicked");
 
-    assert!(round.transport_lost, "a disconnected channel must be surfaced");
-    assert!(!round.accepted);
-    assert_eq!(round.updates_received, 0);
-    assert!(elapsed < Duration::from_secs(5), "disconnection must not burn the timeout");
+        assert!(round.transport_lost, "a disconnected channel must be surfaced");
+        assert!(!round.accepted);
+        assert_eq!(round.updates_received, 0);
+        assert!(elapsed < Duration::from_secs(5), "disconnection must not burn the timeout");
+    });
 }

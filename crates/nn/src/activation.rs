@@ -1,7 +1,5 @@
 //! Pointwise activation functions.
 
-use serde::{Deserialize, Serialize};
-
 /// A pointwise activation function applied after a dense layer.
 ///
 /// # Example
@@ -13,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(Activation::Relu.apply(2.0), 2.0);
 /// assert_eq!(Activation::Identity.derivative(123.0), 1.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Activation {
     /// Rectified linear unit, `max(0, x)`.
     #[default]

@@ -13,11 +13,10 @@ use crate::{softmax_cross_entropy, softmax_cross_entropy_into, Activation, Dense
 use baffle_tensor::Matrix;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Architecture of a [`Cnn`]: signal length, conv channel widths, kernel
 /// size, residual toggle and class count.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CnnSpec {
     input_len: usize,
     channels: Vec<usize>,
@@ -88,13 +87,12 @@ struct CnnScratch {
 }
 
 /// The residual 1-D CNN classifier.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Cnn {
     spec: CnnSpec,
     convs: Vec<Conv1d>,
     pool: GlobalAvgPool1d,
     head: Dense,
-    #[serde(skip)]
     scratch: Scratch<CnnScratch>,
 }
 

@@ -31,7 +31,6 @@ use crate::scratch::Scratch;
 use crate::{Activation, Sgd};
 use baffle_tensor::{gemm, rng as trng, Matrix};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A cached im2col scratch buffer: the packed matrix plus the batch size
 /// it was sized for. Reusing it across same-size batches skips the
@@ -94,7 +93,7 @@ fn im2col_cached<'a>(
 
 /// A same-padded, stride-1 1-D convolution layer with a pointwise
 /// activation: `y[o][p] = act(Σᵢ Σₖ w[o][i][k] · x[i][p+k−⌊K/2⌋] + b[o])`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Conv1d {
     in_channels: usize,
     out_channels: usize,
@@ -104,12 +103,10 @@ pub struct Conv1d {
     w: Matrix,
     b: Vec<f32>,
     activation: Activation,
-    #[serde(skip)]
     scratch: Scratch<ConvScratch>,
     /// Route every pass through the retained scalar loops instead of
     /// GEMM (test support; see [`Conv1d::force_naive`]). A setting, not
     /// scratch: it survives a clone.
-    #[serde(skip)]
     force_naive: bool,
 }
 
@@ -550,7 +547,7 @@ impl Conv1d {
 
 /// Global average pooling over the signal axis: collapses
 /// `channels × length` to `channels` by averaging each channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GlobalAvgPool1d {
     channels: usize,
     length: usize,

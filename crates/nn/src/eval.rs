@@ -12,7 +12,6 @@
 
 use crate::Model;
 use baffle_tensor::{pool, Matrix};
-use serde::{Deserialize, Serialize};
 
 /// Rows per evaluation chunk when a dataset is split across the worker
 /// pool; datasets shorter than twice this evaluate in a single call, so
@@ -35,7 +34,7 @@ const EVAL_CHUNK_ROWS: usize = 512;
 /// assert!((cm.accuracy() - 2.0 / 3.0).abs() < 1e-6);
 /// assert!((cm.source_error(0) - 1.0 / 3.0).abs() < 1e-6);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfusionMatrix {
     num_classes: usize,
     counts: Vec<u64>,

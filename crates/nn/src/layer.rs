@@ -4,7 +4,6 @@ use crate::scratch::Scratch;
 use crate::{Activation, Sgd};
 use baffle_tensor::{rng, Matrix, MatrixView};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A dense layer `y = act(x · W + b)` with cached forward state for
 /// backpropagation.
@@ -19,12 +18,11 @@ use serde::{Deserialize, Serialize};
 /// allocation-free. Validity is tracked by flags, so the panic behaviour
 /// of calling `backward` before `forward_train` is unchanged. They are
 /// workspace, not value: a clone starts with none of them.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dense {
     w: Matrix,
     b: Vec<f32>,
     activation: Activation,
-    #[serde(skip)]
     scratch: Scratch<DenseScratch>,
 }
 

@@ -5,7 +5,6 @@ use crate::{softmax_cross_entropy, softmax_cross_entropy_into, Activation, Dense
 use baffle_tensor::Matrix;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Architecture description for an [`Mlp`]: input dimension, hidden layer
 /// widths and number of classes.
@@ -17,12 +16,11 @@ use serde::{Deserialize, Serialize};
 /// let spec = MlpSpec::new(64, &[128, 64], 10);
 /// assert_eq!(spec.num_params(), 64 * 128 + 128 + 128 * 64 + 64 + 64 * 10 + 10);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MlpSpec {
     input_dim: usize,
     hidden: Vec<usize>,
     num_classes: usize,
-    activation: Activation,
 }
 
 impl MlpSpec {
@@ -36,13 +34,7 @@ impl MlpSpec {
         assert!(input_dim > 0, "MlpSpec: input_dim must be positive");
         assert!(num_classes >= 2, "MlpSpec: need at least two classes");
         assert!(hidden.iter().all(|&h| h > 0), "MlpSpec: hidden widths must be positive");
-        Self { input_dim, hidden: hidden.to_vec(), num_classes, activation: Activation::Relu }
-    }
-
-    /// Replaces the hidden-layer activation.
-    pub fn with_activation(mut self, activation: Activation) -> Self {
-        self.activation = activation;
-        self
+        Self { input_dim, hidden: hidden.to_vec(), num_classes }
     }
 
     /// Input dimensionality.
@@ -91,11 +83,10 @@ pub(crate) struct TrainScratch {
 /// A multi-layer perceptron trained with mini-batch SGD on softmax
 /// cross-entropy — the model substrate standing in for the paper's
 /// ResNet18 (see `DESIGN.md` §2).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Mlp {
     spec: MlpSpec,
     layers: Vec<Dense>,
-    #[serde(skip)]
     scratch: Scratch<TrainScratch>,
 }
 
@@ -107,7 +98,7 @@ impl Mlp {
         dims.push(spec.num_classes);
         let mut layers = Vec::with_capacity(dims.len() - 1);
         for (i, w) in dims.windows(2).enumerate() {
-            let act = if i + 2 == dims.len() { Activation::Identity } else { spec.activation };
+            let act = if i + 2 == dims.len() { Activation::Identity } else { Activation::Relu };
             layers.push(Dense::new(w[0], w[1], act, rng));
         }
         Self { spec: spec.clone(), layers, scratch: Scratch::default() }

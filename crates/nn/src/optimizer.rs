@@ -1,7 +1,5 @@
 //! Mini-batch SGD with momentum and weight decay.
 
-use serde::{Deserialize, Serialize};
-
 /// Stochastic gradient descent with classical momentum and (decoupled)
 /// weight decay, matching the optimiser used by the paper's FL setup
 /// (`lr = 0.1` for local training).
@@ -13,12 +11,10 @@ use serde::{Deserialize, Serialize};
 ///
 /// ```
 /// use baffle_nn::Sgd;
-/// let mut opt = Sgd::new(0.1).with_momentum(0.9).with_weight_decay(1e-4);
+/// let opt = Sgd::new(0.1).with_momentum(0.9).with_weight_decay(1e-4);
 /// assert_eq!(opt.learning_rate(), 0.1);
-/// opt.set_learning_rate(0.05);
-/// assert_eq!(opt.learning_rate(), 0.05);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Sgd {
     lr: f32,
     momentum: f32,
@@ -56,16 +52,6 @@ impl Sgd {
     /// Current learning rate.
     pub fn learning_rate(&self) -> f32 {
         self.lr
-    }
-
-    /// Updates the learning rate (e.g. for a decay schedule).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr` is not finite and positive.
-    pub fn set_learning_rate(&mut self, lr: f32) {
-        assert!(lr.is_finite() && lr > 0.0, "learning rate must be positive, got {lr}");
-        self.lr = lr;
     }
 
     /// Begins a new optimisation step over all parameters. Must be called

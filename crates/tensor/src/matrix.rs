@@ -1,7 +1,5 @@
 //! Row-major dense `f32` matrix.
 
-use serde::{Deserialize, Serialize};
-
 /// A dense, row-major matrix of `f32`.
 ///
 /// All shape mismatches are programming errors and panic with a message that
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(m[(1, 2)], 5.0);
 /// assert_eq!(m.shape(), (2, 3));
 /// ```
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -131,11 +129,6 @@ impl Matrix {
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consumes the matrix and returns the row-major data vector.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
     }
 
     /// Borrow of row `r`.

@@ -99,17 +99,6 @@ pub fn derive_stream(seed: u64, round: u64, node: u64) -> u64 {
     z
 }
 
-/// A matrix with i.i.d. `U(lo, hi)` entries.
-pub fn uniform_matrix<R: Rng + ?Sized>(
-    rng: &mut R,
-    rows: usize,
-    cols: usize,
-    lo: f32,
-    hi: f32,
-) -> Matrix {
-    Matrix::from_fn(rows, cols, |_, _| rng.gen_range(lo..hi))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,12 +176,5 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), 8 * 8 * 8, "stream collision on small inputs");
-    }
-
-    #[test]
-    fn uniform_matrix_in_range() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let m = uniform_matrix(&mut rng, 10, 10, -0.5, 0.5);
-        assert!(m.as_slice().iter().all(|&x| (-0.5..0.5).contains(&x)));
     }
 }

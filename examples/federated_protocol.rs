@@ -22,6 +22,7 @@ fn main() {
     config.warmup_central_epochs = 14;
     config.drop_prob = 0.05; // 5% message loss
     config.phase_timeout = Duration::from_secs(5);
+    // Sockets instead of channels: `config.transport = TransportMode::Socket(SocketKind::Tcp);`
 
     println!(
         "deploying: {} clients ({} malicious), {} rounds, 5% message loss\n",

@@ -22,9 +22,14 @@
 //! standby's state must be byte-identical to the primary's pre-crash
 //! checkpoint.
 
+#[path = "../crates/net/tests/common/mod.rs"]
+mod common;
+
 use baffle::net::deployment::{Deployment, DeploymentConfig, DeploymentOutcome};
 use baffle::net::fault::{FaultEvent, FaultPlan, LinkPolicy};
 use baffle::net::message::NodeId;
+use baffle::net::socket::TransportMode;
+use common::on_each_transport;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
@@ -67,8 +72,8 @@ fn chaos_plan(seed: u64) -> FaultPlan {
 /// An all-honest deployment under the chaos plan. The short phase
 /// timeout keeps lost-message rounds cheap; everything else matches the
 /// stock small deployment.
-fn chaos_config(seed: u64) -> DeploymentConfig {
-    let mut config = DeploymentConfig::small(seed);
+fn chaos_config(seed: u64, transport: TransportMode) -> DeploymentConfig {
+    let mut config = DeploymentConfig { transport, ..DeploymentConfig::small(seed) };
     config.malicious_clients = 0;
     config.rounds = 7;
     config.phase_timeout = Duration::from_millis(1200);
@@ -144,25 +149,27 @@ fn assert_invariants(seed: u64, config: &DeploymentConfig, outcome: &DeploymentO
 /// violation names its seed so a failure reproduces deterministically.
 #[test]
 fn soak_all_faults_uphold_invariants_across_seeds() {
-    let mut total_dropped = 0u64;
-    let mut total_duplicated = 0u64;
-    let mut total_corrupted = 0u64;
-    for seed in [5u64, 6, 7] {
-        let config = chaos_config(seed);
-        let outcome = with_plan_context(seed, &chaos_plan(seed), || {
-            let outcome = Deployment::run(config.clone());
-            assert_invariants(seed, &config, &outcome);
-            outcome
-        });
-        total_dropped += outcome.messages_dropped;
-        total_duplicated += outcome.messages_duplicated;
-        total_corrupted += outcome.messages_corrupted;
-    }
-    // The chaos must actually have happened — a plan that injects
-    // nothing would make the invariants above vacuous.
-    assert!(total_dropped > 0, "drop faults never fired");
-    assert!(total_duplicated > 0, "duplication faults never fired");
-    assert!(total_corrupted > 0, "corruption faults never fired");
+    on_each_transport(|transport| {
+        let mut total_dropped = 0u64;
+        let mut total_duplicated = 0u64;
+        let mut total_corrupted = 0u64;
+        for seed in [5u64, 6, 7] {
+            let config = chaos_config(seed, transport);
+            let outcome = with_plan_context(seed, &chaos_plan(seed), || {
+                let outcome = Deployment::run(config.clone());
+                assert_invariants(seed, &config, &outcome);
+                outcome
+            });
+            total_dropped += outcome.messages_dropped;
+            total_duplicated += outcome.messages_duplicated;
+            total_corrupted += outcome.messages_corrupted;
+        }
+        // The chaos must actually have happened — a plan that injects
+        // nothing would make the invariants above vacuous.
+        assert!(total_dropped > 0, "drop faults never fired");
+        assert!(total_duplicated > 0, "duplication faults never fired");
+        assert!(total_corrupted > 0, "corruption faults never fired");
+    });
 }
 
 /// The defense keeps working on a faulty wire: with an attacker in the
@@ -172,35 +179,37 @@ fn soak_all_faults_uphold_invariants_across_seeds() {
 /// `attacker_rounds_are_rejected_once_history_matures` test.
 #[test]
 fn poisoned_rounds_are_still_rejected_under_chaos() {
-    let seed = 2u64;
-    let mut config = DeploymentConfig::small(seed);
-    config.rounds = 14;
-    let plan = FaultPlan::uniform(
-        LinkPolicy::lossless()
-            .with_delay(Duration::from_millis(1), Duration::from_millis(2))
-            .with_duplicate(0.05)
-            .with_reorder(0.1, Duration::from_millis(4)),
-        0xFEED,
-    );
-    config.faults = Some(plan.clone());
-    with_plan_context(seed, &plan, || {
-        let outcome = Deployment::run(config.clone());
-        assert_eq!(outcome.rounds.len(), 14, "seed {seed}: rounds missing");
-        let rejected = outcome.rounds.iter().filter(|r| !r.accepted).count();
-        assert!(rejected >= 1, "seed {seed}: no poisoned round was rejected under chaos");
-        assert!(
-            outcome.final_backdoor_accuracy < 0.5,
-            "seed {seed}: backdoor persisted under chaos: {}",
-            outcome.final_backdoor_accuracy
+    on_each_transport(|transport| {
+        let seed = 2u64;
+        let mut config = DeploymentConfig { transport, ..DeploymentConfig::small(seed) };
+        config.rounds = 14;
+        let plan = FaultPlan::uniform(
+            LinkPolicy::lossless()
+                .with_delay(Duration::from_millis(1), Duration::from_millis(2))
+                .with_duplicate(0.05)
+                .with_reorder(0.1, Duration::from_millis(4)),
+            0xFEED,
         );
-        // No message was ever dropped or damaged, so rejections can only
-        // be the defense's verdicts — and the intake must stay clean.
-        assert_eq!(outcome.messages_dropped, 0, "seed {seed}: a lossless link loses nothing");
-        assert_eq!(outcome.messages_corrupted, 0, "seed {seed}: nothing corrupts");
-        for r in &outcome.rounds {
-            assert_eq!(r.rejected_submissions, 0, "seed {seed} round {}", r.round);
-            assert_eq!(r.rejected_votes, 0, "seed {seed} round {}", r.round);
-        }
+        config.faults = Some(plan.clone());
+        with_plan_context(seed, &plan, || {
+            let outcome = Deployment::run(config.clone());
+            assert_eq!(outcome.rounds.len(), 14, "seed {seed}: rounds missing");
+            let rejected = outcome.rounds.iter().filter(|r| !r.accepted).count();
+            assert!(rejected >= 1, "seed {seed}: no poisoned round was rejected under chaos");
+            assert!(
+                outcome.final_backdoor_accuracy < 0.5,
+                "seed {seed}: backdoor persisted under chaos: {}",
+                outcome.final_backdoor_accuracy
+            );
+            // No message was ever dropped or damaged, so rejections can only
+            // be the defense's verdicts — and the intake must stay clean.
+            assert_eq!(outcome.messages_dropped, 0, "seed {seed}: a lossless link loses nothing");
+            assert_eq!(outcome.messages_corrupted, 0, "seed {seed}: nothing corrupts");
+            for r in &outcome.rounds {
+                assert_eq!(r.rejected_submissions, 0, "seed {seed} round {}", r.round);
+                assert_eq!(r.rejected_votes, 0, "seed {seed} round {}", r.round);
+            }
+        });
     });
 }
 
@@ -210,33 +219,35 @@ fn poisoned_rounds_are_still_rejected_under_chaos() {
 /// loss, so loss assertions on a lossless plan stay exact.
 #[test]
 fn crash_without_restart_books_unroutable_sends_not_drops() {
-    let seed = 12u64;
-    let mut config = DeploymentConfig::small(seed);
-    config.malicious_clients = 0;
-    config.rounds = 5;
-    config.phase_timeout = Duration::from_millis(1200);
-    let plan = FaultPlan::lossless(seed).event(FaultEvent::Crash {
-        node: NodeId(2),
-        at_round: 2,
-        restart_round: None,
-    });
-    config.faults = Some(plan.clone());
-    with_plan_context(seed, &plan, || {
-        let outcome = Deployment::run(config.clone());
-        assert_eq!(
-            outcome.rounds.len(),
-            5,
-            "seed {seed}: a crashed client must not stall the server"
-        );
-        // At minimum the shutdown notice to the dead node has no route.
-        assert!(outcome.messages_unroutable > 0, "seed {seed}: no-route sends must be booked");
-        assert_eq!(outcome.messages_dropped, 0, "seed {seed}: a lossless link loses nothing");
-        assert_eq!(outcome.messages_corrupted, 0, "seed {seed}: nothing corrupts");
-        // The crashed incarnation still exits with a (banked) report,
-        // and nothing doubles it up.
-        assert_eq!(outcome.client_reports.len(), config.num_clients, "seed {seed}");
-        let crashed = outcome.client_reports.iter().filter(|r| r.id == NodeId(2)).count();
-        assert_eq!(crashed, 1, "seed {seed}: a never-restarted node reports exactly once");
+    on_each_transport(|transport| {
+        let seed = 12u64;
+        let mut config = DeploymentConfig { transport, ..DeploymentConfig::small(seed) };
+        config.malicious_clients = 0;
+        config.rounds = 5;
+        config.phase_timeout = Duration::from_millis(1200);
+        let plan = FaultPlan::lossless(seed).event(FaultEvent::Crash {
+            node: NodeId(2),
+            at_round: 2,
+            restart_round: None,
+        });
+        config.faults = Some(plan.clone());
+        with_plan_context(seed, &plan, || {
+            let outcome = Deployment::run(config.clone());
+            assert_eq!(
+                outcome.rounds.len(),
+                5,
+                "seed {seed}: a crashed client must not stall the server"
+            );
+            // At minimum the shutdown notice to the dead node has no route.
+            assert!(outcome.messages_unroutable > 0, "seed {seed}: no-route sends must be booked");
+            assert_eq!(outcome.messages_dropped, 0, "seed {seed}: a lossless link loses nothing");
+            assert_eq!(outcome.messages_corrupted, 0, "seed {seed}: nothing corrupts");
+            // The crashed incarnation still exits with a (banked) report,
+            // and nothing doubles it up.
+            assert_eq!(outcome.client_reports.len(), config.num_clients, "seed {seed}");
+            let crashed = outcome.client_reports.iter().filter(|r| r.id == NodeId(2)).count();
+            assert_eq!(crashed, 1, "seed {seed}: a never-restarted node reports exactly once");
+        });
     });
 }
 
@@ -244,34 +255,36 @@ fn crash_without_restart_books_unroutable_sends_not_drops() {
 /// the closed-interval fix) and costs participation, not liveness.
 #[test]
 fn total_blackout_to_one_node_only_costs_participation() {
-    use baffle::net::fault::LinkSelector;
-    let seed = 9u64;
-    let mut config = DeploymentConfig::small(seed);
-    config.malicious_clients = 0;
-    config.rounds = 5;
-    config.phase_timeout = Duration::from_millis(1200);
-    let plan = FaultPlan::lossless(seed)
-        .link(LinkSelector::to(NodeId(6)), LinkPolicy::lossless().with_drop(1.0));
-    config.faults = Some(plan.clone());
-    with_plan_context(seed, &plan, || {
-        let outcome = Deployment::run(config.clone());
-        assert_eq!(
-            outcome.rounds.len(),
-            5,
-            "seed {seed}: a blackholed client must not stall the server"
-        );
-        for r in &outcome.rounds {
-            assert_eq!(r.rejected_submissions, 0, "seed {seed} round {}", r.round);
-            assert_eq!(r.rejected_votes, 0, "seed {seed} round {}", r.round);
-        }
-        // Node 6 heard no protocol traffic at all (only the fault-exempt
-        // shutdown control message, which lets its actor exit cleanly).
-        let report = outcome.client_reports.iter().find(|r| r.id == NodeId(6)).expect("report");
-        assert_eq!(
-            report.rounds_participated, 0,
-            "seed {seed}: a blackholed node cannot participate"
-        );
-        assert!(report.window_contiguous, "seed {seed}: gapped window on node 6");
+    on_each_transport(|transport| {
+        use baffle::net::fault::LinkSelector;
+        let seed = 9u64;
+        let mut config = DeploymentConfig { transport, ..DeploymentConfig::small(seed) };
+        config.malicious_clients = 0;
+        config.rounds = 5;
+        config.phase_timeout = Duration::from_millis(1200);
+        let plan = FaultPlan::lossless(seed)
+            .link(LinkSelector::to(NodeId(6)), LinkPolicy::lossless().with_drop(1.0));
+        config.faults = Some(plan.clone());
+        with_plan_context(seed, &plan, || {
+            let outcome = Deployment::run(config.clone());
+            assert_eq!(
+                outcome.rounds.len(),
+                5,
+                "seed {seed}: a blackholed client must not stall the server"
+            );
+            for r in &outcome.rounds {
+                assert_eq!(r.rejected_submissions, 0, "seed {seed} round {}", r.round);
+                assert_eq!(r.rejected_votes, 0, "seed {seed} round {}", r.round);
+            }
+            // Node 6 heard no protocol traffic at all (only the fault-exempt
+            // shutdown control message, which lets its actor exit cleanly).
+            let report = outcome.client_reports.iter().find(|r| r.id == NodeId(6)).expect("report");
+            assert_eq!(
+                report.rounds_participated, 0,
+                "seed {seed}: a blackholed node cannot participate"
+            );
+            assert!(report.window_contiguous, "seed {seed}: gapped window on node 6");
+        });
     });
 }
 
@@ -288,33 +301,38 @@ fn total_blackout_to_one_node_only_costs_participation() {
 /// primary cut immediately before the torn round.
 #[test]
 fn primary_crash_mid_round_fails_over_to_hot_standby() {
-    for seed in [5u64, 6, 7] {
-        let config = chaos_config(seed);
-        let plan = chaos_plan(seed);
-        let dir = wal_dir(&format!("failover-{seed}"));
-        let report = with_plan_context(seed, &plan, || {
-            Deployment::build(config.clone()).run_with_failover(&dir, 4)
-        });
-        let _ = std::fs::remove_dir_all(&dir);
-        assert_invariants(seed, &config, &report.outcome);
-        assert_eq!(
-            report.recovery_info.torn_round,
-            Some(4),
-            "seed {seed}: the torn round must be detected from the log"
-        );
-        assert_eq!(report.torn_round.round, 4, "seed {seed}: the doomed primary ran round 4");
-        assert_eq!(
-            report.recovery_info.checkpoint_round, 0,
-            "seed {seed}: the standby restored from the launch checkpoint"
-        );
-        assert_eq!(
-            report.recovery_info.replayed, 3,
-            "seed {seed}: three journaled outcomes replayed on top of it"
-        );
-        assert_eq!(
-            report.promoted_checkpoint, report.pre_crash_checkpoint,
-            "seed {seed}: promoted standby must match the pre-crash state bit-for-bit"
-        );
-        assert!(report.recovery.is_some(), "seed {seed}: no round was accepted after the takeover");
-    }
+    on_each_transport(|transport| {
+        for seed in [5u64, 6, 7] {
+            let config = chaos_config(seed, transport);
+            let plan = chaos_plan(seed);
+            let dir = wal_dir(&format!("failover-{}-{seed}", transport.label()));
+            let report = with_plan_context(seed, &plan, || {
+                Deployment::build(config.clone()).run_with_failover(&dir, 4)
+            });
+            let _ = std::fs::remove_dir_all(&dir);
+            assert_invariants(seed, &config, &report.outcome);
+            assert_eq!(
+                report.recovery_info.torn_round,
+                Some(4),
+                "seed {seed}: the torn round must be detected from the log"
+            );
+            assert_eq!(report.torn_round.round, 4, "seed {seed}: the doomed primary ran round 4");
+            assert_eq!(
+                report.recovery_info.checkpoint_round, 0,
+                "seed {seed}: the standby restored from the launch checkpoint"
+            );
+            assert_eq!(
+                report.recovery_info.replayed, 3,
+                "seed {seed}: three journaled outcomes replayed on top of it"
+            );
+            assert_eq!(
+                report.promoted_checkpoint, report.pre_crash_checkpoint,
+                "seed {seed}: promoted standby must match the pre-crash state bit-for-bit"
+            );
+            assert!(
+                report.recovery.is_some(),
+                "seed {seed}: no round was accepted after the takeover"
+            );
+        }
+    });
 }

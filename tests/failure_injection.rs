@@ -2,6 +2,9 @@
 //! under degenerate inputs — empty client shards, NaN-poisoned updates,
 //! dropped validators and absurd parameters.
 
+#[path = "../crates/net/tests/common/mod.rs"]
+mod common;
+
 use baffle::core::{Simulation, SimulationConfig, ValidateError, ValidationConfig, Validator};
 use baffle::data::{Dataset, SyntheticVision, VisionSpec};
 use baffle::fl::{fedavg, LocalTrainer};
@@ -95,40 +98,42 @@ fn single_sample_validation_set_does_not_crash() {
 
 #[test]
 fn lossy_network_round_keeps_straggler_tolerance_under_membership_checks() {
-    // A lossy deployment: messages vanish, so some sampled contributors
-    // and validators never answer. The server's intake membership checks
-    // must not mistake those stragglers for intruders — nothing here is
-    // outside its sampled set, so every rejection counter must stay 0
-    // while the round machinery keeps running on partial responses.
-    use baffle::net::deployment::{Deployment, DeploymentConfig};
-    use std::time::Duration;
+    common::on_each_transport(|transport| {
+        // A lossy deployment: messages vanish, so some sampled contributors
+        // and validators never answer. The server's intake membership checks
+        // must not mistake those stragglers for intruders — nothing here is
+        // outside its sampled set, so every rejection counter must stay 0
+        // while the round machinery keeps running on partial responses.
+        use baffle::net::deployment::{Deployment, DeploymentConfig};
+        use std::time::Duration;
 
-    let mut config = DeploymentConfig::small(17);
-    config.drop_prob = 0.2;
-    config.rounds = 5;
-    config.phase_timeout = Duration::from_millis(1500);
+        let mut config = DeploymentConfig { transport, ..DeploymentConfig::small(17) };
+        config.drop_prob = 0.2;
+        config.rounds = 5;
+        config.phase_timeout = Duration::from_millis(1500);
 
-    let outcome = Deployment::run(config.clone());
-    assert_eq!(outcome.rounds.len(), 5);
-    assert!(outcome.messages_dropped > 0, "the lossy link must actually lose messages");
-    let rejected: usize =
-        outcome.rounds.iter().map(|r| r.rejected_submissions + r.rejected_votes).sum();
-    assert_eq!(rejected, 0, "honest stragglers must never be counted as intake rejections");
-    // Phase-ledger accounting: every sampled validator resolves to at
-    // most one of {vote counted, rejected, abstained}; the rest are
-    // silent stragglers (implicit accepts). Nothing can be counted
-    // twice, so the per-round sum is bounded by the sample size.
-    for r in &outcome.rounds {
-        assert!(
-            r.abstentions + r.votes_received + r.rejected_votes <= config.validators_per_round,
-            "round {}: ledger over-counted ({} abstained + {} voted + {} rejected > {})",
-            r.round,
-            r.abstentions,
-            r.votes_received,
-            r.rejected_votes,
-            config.validators_per_round,
-        );
-    }
+        let outcome = Deployment::run(config.clone());
+        assert_eq!(outcome.rounds.len(), 5);
+        assert!(outcome.messages_dropped > 0, "the lossy link must actually lose messages");
+        let rejected: usize =
+            outcome.rounds.iter().map(|r| r.rejected_submissions + r.rejected_votes).sum();
+        assert_eq!(rejected, 0, "honest stragglers must never be counted as intake rejections");
+        // Phase-ledger accounting: every sampled validator resolves to at
+        // most one of {vote counted, rejected, abstained}; the rest are
+        // silent stragglers (implicit accepts). Nothing can be counted
+        // twice, so the per-round sum is bounded by the sample size.
+        for r in &outcome.rounds {
+            assert!(
+                r.abstentions + r.votes_received + r.rejected_votes <= config.validators_per_round,
+                "round {}: ledger over-counted ({} abstained + {} voted + {} rejected > {})",
+                r.round,
+                r.abstentions,
+                r.votes_received,
+                r.rejected_votes,
+                config.validators_per_round,
+            );
+        }
+    });
 }
 
 #[test]
